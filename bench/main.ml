@@ -368,77 +368,65 @@ let json_perf ~quick ~filter file =
       Printf.printf "  %-10s %-4s %-3s %12.0f cycles  %+6.2f%% over native\n%!"
         s.ov_workload s.ov_uarch s.ov_opt s.ov_cycles s.ov_pct)
     ov;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"lfi-bench/v5\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf "  \"emulator\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"uarch\": %S, \"system\": %S, \"insns\": \
-            %d, \"sim_cycles\": %.1f, \"wall_s\": %.6f, \"insns_per_sec\": \
-            %.0f,\n\
-           \     \"telemetry\": {\"decode_cache_hit_rate\": %.6f, \
-            \"translation_cache_hit_rate\": %.6f, \"tlb_hit_rate\": %.6f, \
-            \"guard_fraction\": %.6f, \"insns_per_sec_metrics\": %.0f, \
-            \"guard_clamps\": %d, \"block_cache_hit_rate\": %.6f, \
-            \"avg_block_len\": %.2f, \"deopt_count\": %d}}%s\n"
-           s.workload s.uarch s.system s.insns s.sim_cycles s.wall_s
-           s.insns_per_sec s.decode_hit_rate s.tc_hit_rate s.tlb_hit_rate
-           s.guard_fraction s.insns_per_sec_metrics s.guard_clamps
-           s.block_cache_hit_rate s.avg_block_len s.deopt_count
-           (if i = List.length emu - 1 then "" else ",")))
-    emu;
-  Buffer.add_string buf "  ],\n";
+  let module J = Lfi_telemetry.Json in
+  let f6 = J.float ~digits:6 and f0 = J.float ~digits:0 and f1 = J.float in
+  let emu_row s =
+    J.Object
+      [ ("workload", J.String s.workload); ("uarch", J.String s.uarch);
+        ("system", J.String s.system); ("insns", J.Int s.insns);
+        ("sim_cycles", f1 s.sim_cycles); ("wall_s", f6 s.wall_s);
+        ("insns_per_sec", f0 s.insns_per_sec);
+        ( "telemetry",
+          J.Nl
+            (J.Object
+               [ ("decode_cache_hit_rate", f6 s.decode_hit_rate);
+                 ("translation_cache_hit_rate", f6 s.tc_hit_rate);
+                 ("tlb_hit_rate", f6 s.tlb_hit_rate);
+                 ("guard_fraction", f6 s.guard_fraction);
+                 ("insns_per_sec_metrics", f0 s.insns_per_sec_metrics);
+                 ("guard_clamps", J.Int s.guard_clamps);
+                 ("block_cache_hit_rate", f6 s.block_cache_hit_rate);
+                 ("avg_block_len", J.float ~digits:2 s.avg_block_len);
+                 ("deopt_count", J.Int s.deopt_count) ]) ) ]
+  in
   (* percent-over-native per (workload, uarch, opt): simulated cycles,
      so the section is deterministic and diffs cleanly in CI.  The O2
      rows carry the per-category tax breakdown from the per-site
-     profiler.  (The old-schema --compare scanner skips these chunks:
-     they carry no insns_per_sec.) *)
-  Buffer.add_string buf "  \"overhead\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"uarch\": %S, \"opt\": %S, \
-            \"native_cycles\": %.1f, \"cycles\": %.1f, \"overhead_pct\": \
-            %.2f"
-           s.ov_workload s.ov_uarch s.ov_opt s.ov_native s.ov_cycles s.ov_pct);
-      if s.ov_categories <> [] then begin
-        Buffer.add_string buf ",\n     \"categories\": {";
-        List.iteri
-          (fun j (name, tax) ->
-            Buffer.add_string buf
-              (Printf.sprintf "%s%S: %.1f"
-                 (if j > 0 then ", " else "")
-                 name tax))
-          s.ov_categories;
-        Buffer.add_string buf "}"
-      end;
-      Buffer.add_string buf
-        (Printf.sprintf "}%s\n" (if i = List.length ov - 1 then "" else ",")))
-    ov;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"rewriter\": {\"input\": \"mcf\", \"wall_s\": %.6f, \"guards\": \
-        %d, \"hoists\": %d, \"sp_guards_elided\": %d, \"branches_relaxed\": \
-        %d},\n"
-       rewrite_s rstats.Lfi_core.Rewriter.guards
-       rstats.Lfi_core.Rewriter.hoists
-       rstats.Lfi_core.Rewriter.sp_guards_elided
-       rstats.Lfi_core.Rewriter.branches_relaxed);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"verifier\": {\"input\": \"mcf\", \"wall_s\": %.6f, \
-        \"text_bytes\": %d, \"mb_per_sec\": %.1f}\n"
-       verify_s (Bytes.length code)
-       (float_of_int (Bytes.length code) /. verify_s /. 1e6));
-  Buffer.add_string buf "}\n";
+     profiler on a line of their own, so each row's key fields and
+     overhead_pct stay on one line. *)
+  let ov_row s =
+    J.Object
+      ([ ("workload", J.String s.ov_workload); ("uarch", J.String s.ov_uarch);
+         ("opt", J.String s.ov_opt); ("native_cycles", f1 s.ov_native);
+         ("cycles", f1 s.ov_cycles);
+         ("overhead_pct", J.float ~digits:2 s.ov_pct) ]
+      @
+      if s.ov_categories = [] then []
+      else
+        [ ( "categories",
+            J.Nl (J.Object (List.map (fun (name, tax) -> (name, f1 tax)) s.ov_categories)) ) ])
+  in
+  let doc =
+    J.block
+      [ ("schema", J.String "lfi-bench/v5"); ("quick", J.Bool quick);
+        ("emulator", J.rows (List.map emu_row emu));
+        ("overhead", J.rows (List.map ov_row ov));
+        ( "rewriter",
+          J.Object
+            [ ("input", J.String "mcf"); ("wall_s", f6 rewrite_s);
+              ("guards", J.Int rstats.Lfi_core.Rewriter.guards);
+              ("hoists", J.Int rstats.Lfi_core.Rewriter.hoists);
+              ("sp_guards_elided", J.Int rstats.Lfi_core.Rewriter.sp_guards_elided);
+              ("branches_relaxed", J.Int rstats.Lfi_core.Rewriter.branches_relaxed) ] );
+        ( "verifier",
+          J.Object
+            [ ("input", J.String "mcf"); ("wall_s", f6 verify_s);
+              ("text_bytes", J.Int (Bytes.length code));
+              ( "mb_per_sec",
+                f1 (float_of_int (Bytes.length code) /. verify_s /. 1e6) ) ] ) ]
+  in
   let oc = open_out file in
-  Buffer.output_buffer oc buf;
+  output_string oc (J.to_string doc ^ "\n");
   close_out oc;
   Printf.printf "wrote %s\n%!" file
 
@@ -447,104 +435,50 @@ let json_perf ~quick ~filter file =
 (*                                                                     *)
 (* Re-measures the emulator samples and compares throughput against a  *)
 (* baseline JSON written by --json (any schema version: only the       *)
-(* per-sample insns_per_sec is read).  Exits nonzero if any matching   *)
+(* per-sample insns_per_sec and overhead_pct are read).  Exits nonzero if any matching   *)
 (* (workload, uarch, system) sample regressed by more than 10%, so CI  *)
 (* can gate on it.                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let regression_threshold = 0.10
 
-(* Minimal field extraction from our own JSON: each emulator sample is
-   a chunk starting at {"workload"; fields are scanned inside the
-   chunk, so no general JSON parser is needed. *)
-let find_sub (hay : string) (needle : string) (from : int) : int option =
-  let n = String.length needle and h = String.length hay in
-  let rec go i =
-    if i + n > h then None
-    else if String.sub hay i n = needle then Some i
-    else go (i + 1)
-  in
-  go from
+let read_file file = In_channel.with_open_bin file In_channel.input_all
 
-let str_field chunk name =
-  let key = Printf.sprintf "\"%s\": \"" name in
-  match find_sub chunk key 0 with
-  | None -> None
-  | Some i ->
-      let start = i + String.length key in
-      let stop = String.index_from chunk start '"' in
-      Some (String.sub chunk start (stop - start))
+(* (workload, uarch, [key], [value]) of every row of a --json file's
+   [section] array; a file without the section has no such rows *)
+let section_rows (doc : Lfi_telemetry.Json.t) section key value =
+  let open Lfi_telemetry.Json in
+  match List.assoc_opt section (obj doc) with
+  | None -> []
+  | Some rows ->
+      List.map
+        (fun r ->
+          ( str (field "workload" r), str (field "uarch" r), str (field key r),
+            num (field value r) ))
+        (arr rows)
 
-let num_field chunk name =
-  let key = Printf.sprintf "\"%s\": " name in
-  match find_sub chunk key 0 with
-  | None -> None
-  | Some i ->
-      let start = i + String.length key in
-      let stop = ref start in
-      while
-        !stop < String.length chunk
-        && (match chunk.[!stop] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub chunk start (!stop - start))
-
-(* every sample object in our JSON starts with the workload key *)
-let sample_chunks (content : string) : string list =
-  let marker = "{\"workload\":" in
-  let rec chunks acc pos =
-    match find_sub content marker pos with
-    | None -> List.rev acc
-    | Some i ->
-        let stop =
-          match find_sub content marker (i + 1) with
-          | None -> String.length content
-          | Some j -> j
-        in
-        chunks (String.sub content i (stop - i) :: acc) stop
-  in
-  chunks [] 0
-
-let baseline_samples (content : string) : (string * string * string * float) list =
-  List.filter_map
-    (fun chunk ->
-      match
-        ( str_field chunk "workload",
-          str_field chunk "uarch",
-          str_field chunk "system",
-          num_field chunk "insns_per_sec" )
-      with
-      | Some w, Some u, Some s, Some ips -> Some (w, u, s, ips)
-      | _ -> None)
-    (sample_chunks content)
-
-(* the v5 overhead section: keyed on [opt] instead of [system], and on
-   the deterministic [overhead_pct] instead of wall-clock throughput *)
-let baseline_overhead (content : string) : (string * string * string * float) list =
-  List.filter_map
-    (fun chunk ->
-      match
-        ( str_field chunk "workload",
-          str_field chunk "uarch",
-          str_field chunk "opt",
-          num_field chunk "overhead_pct" )
-      with
-      | Some w, Some u, Some o, Some pct -> Some (w, u, o, pct)
-      | _ -> None)
-    (sample_chunks content)
+(* a number at [path] of a parsed report, if there is one *)
+let number_at (doc : Lfi_telemetry.Json.t) path =
+  let open Lfi_telemetry.Json in
+  let step j k = match j with Some (Object kvs) -> List.assoc_opt k kvs | _ -> None in
+  match List.fold_left step (Some doc) path with
+  | Some ((Int _ | Float _) as v) -> Some (num v)
+  | _ -> None
 
 let compare_baseline ~quick ~filter file =
-  let content =
-    let ic = open_in_bin file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+  (* read [file] through [f]; a file that does not parse, or lacks a
+     field [f] needs, stops the gate *)
+  let read file f =
+    try f (Lfi_telemetry.Json.parse (read_file file))
+    with Lfi_telemetry.Json.Parse_error msg ->
+      Printf.eprintf "%s: %s\n" file msg;
+      exit 2
   in
-  let baseline = baseline_samples content in
+  let baseline, ov_rows =
+    read file (fun doc ->
+        ( section_rows doc "emulator" "system" "insns_per_sec",
+          section_rows doc "overhead" "opt" "overhead_pct" ))
+  in
   let baseline =
     match filter with
     | [] -> baseline
@@ -629,10 +563,9 @@ let compare_baseline ~quick ~filter file =
      of the rewriter and the cost model — no wall-clock noise, nothing
      to retry — so fail on a >10% relative regression outright *)
   let ov_baseline =
-    let b = baseline_overhead content in
     match filter with
-    | [] -> b
-    | names -> List.filter (fun (w, _, _, _) -> List.mem w names) b
+    | [] -> ov_rows
+    | names -> List.filter (fun (w, _, _, _) -> List.mem w names) ov_rows
   in
   (if ov_baseline <> [] then
      let ov_workloads =
@@ -665,32 +598,13 @@ let compare_baseline ~quick ~filter file =
      noise — so any drift past the threshold is a real serve-path
      regression and there is nothing to retry *)
   let serve_file = "BENCH_serve.json" in
-  (if Sys.file_exists serve_file then
-     let content =
-       let ic = open_in_bin serve_file in
-       let n = in_channel_length ic in
-       let s = really_input_string ic n in
-       close_in ic;
-       s
-     in
-     let key = "\"call_p99\": " in
-     let base =
-       match find_sub content key 0 with
-       | None -> None
-       | Some i ->
-           let start = i + String.length key in
-           let stop = ref start in
-           while
-             !stop < String.length content
-             && (match content.[!stop] with
-                | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-                | _ -> false)
-           do
-             incr stop
-           done;
-           float_of_string_opt (String.sub content start (!stop - start))
-     in
-     match base with
+  let serve_doc =
+    if Sys.file_exists serve_file then Some (read serve_file Fun.id) else None
+  in
+  (match serve_doc with
+   | None -> ()
+   | Some doc -> (
+     match number_at doc [ "call_p99" ] with
      | None ->
          Printf.printf "  serve      (no numeric call_p99 in %s; skipped)\n%!"
            serve_file
@@ -704,54 +618,36 @@ let compare_baseline ~quick ~filter file =
          if bad then incr regressions;
          Printf.printf "  %-10s %-4s %-7s %10.0f -> %10.0f p99 cycles %s\n%!"
            "serve" "m1" "lfi-o2" base now
-           (if bad then "  REGRESSION" else ""));
+           (if bad then "  REGRESSION" else "")));
   (* closed-loop tail-latency gate (schema v3): re-run the suite's
      closed-loop point (256 slots, 4 tenants, 64 clients — the same
      parameters lfi_serve --suite committed) and fail if end-to-end
      p999 grew more than the threshold.  Also simulated cycles: a pure
      function of the scheduler, so drift means a real scheduling
      regression *)
-  (if Sys.file_exists serve_file then
-     let content =
-       let ic = open_in_bin serve_file in
-       let n = in_channel_length ic in
-       let s = really_input_string ic n in
-       close_in ic;
-       s
-     in
-     match find_sub content "\"closed_loop\": " 0 with
+  (match serve_doc with
+   | None -> ()
+   | Some doc -> (
+     match number_at doc [ "closed_loop"; "p999" ] with
      | None ->
          Printf.printf
-           "  serve-closed (no closed_loop section in %s; skipped)\n%!"
+           "  serve-closed (no numeric closed_loop p999 in %s; skipped)\n%!"
            serve_file
-     | Some i ->
-         let stop =
-           match find_sub content "\"knee\"" i with
-           | Some j -> j
-           | None -> String.length content
+     | Some base ->
+         let module S = Lfi_libbox.Serve.Suite in
+         let r =
+           Lfi_libbox.Serve.run ~uarch:Lfi_emulator.Cost_model.m1
+             ~arrival:(Lfi_sched.Arrival.Closed { concurrency = S.concurrency })
+             ~tenants:S.tenants ~batch_max:S.batch_max
+             ~spec:Lfi_workloads.Libs.xzbox ~pool:S.pool ~requests:S.requests
+             ~seed:1 ()
          in
-         let chunk = String.sub content i (stop - i) in
-         (match num_field chunk "p999" with
-          | None ->
-              Printf.printf
-                "  serve-closed (no numeric p999 in closed_loop; skipped)\n%!"
-          | Some base ->
-              let module S = Lfi_libbox.Serve.Suite in
-              let r =
-                Lfi_libbox.Serve.run ~uarch:Lfi_emulator.Cost_model.m1
-                  ~arrival:
-                    (Lfi_sched.Arrival.Closed { concurrency = S.concurrency })
-                  ~tenants:S.tenants ~batch_max:S.batch_max
-                  ~spec:Lfi_workloads.Libs.xzbox ~pool:S.pool
-                  ~requests:S.requests ~seed:1 ()
-              in
-              let now = r.Lfi_libbox.Serve.latency_p999 in
-              let bad = now > base *. (1.0 +. regression_threshold) in
-              if bad then incr regressions;
-              Printf.printf
-                "  %-10s %-4s %-7s %10.0f -> %10.0f p999 cycles %s\n%!"
-                "serve-closed" "m1" "lfi-o2" base now
-                (if bad then "  REGRESSION" else "")));
+         let now = r.Lfi_libbox.Serve.latency_p999 in
+         let bad = now > base *. (1.0 +. regression_threshold) in
+         if bad then incr regressions;
+         Printf.printf "  %-10s %-4s %-7s %10.0f -> %10.0f p999 cycles %s\n%!"
+           "serve-closed" "m1" "lfi-o2" base now
+           (if bad then "  REGRESSION" else "")));
   if !regressions > 0 then begin
     Printf.printf "%d sample(s) regressed more than %.0f%%\n" !regressions
       (regression_threshold *. 100.0);

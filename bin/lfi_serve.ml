@@ -22,6 +22,7 @@
 module Serve = Lfi_libbox.Serve
 module Arrival = Lfi_sched.Arrival
 module Tenant = Lfi_sched.Tenant
+module Json = Lfi_telemetry.Json
 
 let tenant_specs n =
   if n <= 1 then [ Tenant.default_spec ]
@@ -33,8 +34,9 @@ let tenant_specs n =
     exit 2
   end
 
-(* the committed scale runs appended by --suite; each is summarized by
-   the report's condensed one-object JSON *)
+(* the committed scale runs appended by --suite, as members of the
+   report object; each run is summarized by the report's condensed
+   one-object view *)
 let suite_sections spec seed knee_file =
   let module S = Serve.Suite in
   let run ~arrival ~pool ~requests =
@@ -77,62 +79,28 @@ let suite_sections spec seed knee_file =
   let shed_queue r =
     List.fold_left (fun a t -> a + t.Serve.ts_shed_queue) 0 r.Serve.tenants
   in
-  let b = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "  , \"open_loop\": %s,\n" open_r.Serve.summary;
-  add "  \"closed_loop\": %s,\n" closed_r.Serve.summary;
-  add
-    "  \"knee\": {\"pool\": %d, \"requests_per_rate\": %d, \
-     \"max_sustainable_rps\": %.0f, \"rule\": \"largest swept rate with \
-     p999 <= 4x the lowest rate's p999 and no queue-bound sheds\",\n\
-    \    \"rates\": ["
-    S.knee_pool S.knee_requests knee;
-  List.iteri
-    (fun i (rate, r) ->
-      if i > 0 then add ", ";
-      add
-        "{\"offered_rps\": %.0f, \"achieved_rps\": %.0f, \"p50\": %s, \
-         \"p99\": %s, \"p999\": %s, \"shed\": %d, \"shed_queue\": %d, \
-         \"duration_cycles\": %.1f}"
-        rate r.Serve.achieved_rps
-        (Lfi_libbox.Snapshot.json_float r.Serve.latency_p50)
-        (Lfi_libbox.Snapshot.json_float r.Serve.latency_p99)
-        (Lfi_libbox.Snapshot.json_float r.Serve.latency_p999)
-        r.Serve.shed (shed_queue r) r.Serve.duration_cycles)
-    knee_rows;
-  add "]},\n";
+  let rate_row (rate, r) =
+    [ ("offered_rps", Json.float ~digits:0 rate);
+      ("achieved_rps", Json.float ~digits:0 r.Serve.achieved_rps);
+      ("p50", Json.float r.Serve.latency_p50); ("p99", Json.float r.Serve.latency_p99);
+      ("p999", Json.float r.Serve.latency_p999); ("shed", Json.Int r.Serve.shed);
+      ("shed_queue", Json.Int (shed_queue r)) ]
+  in
   Printf.eprintf "suite: yield_to handoff microbenchmark...\n%!";
   let hm1 = Lfi_experiments.Handoff.measure Lfi_emulator.Cost_model.m1 in
   let ht2a = Lfi_experiments.Handoff.measure Lfi_emulator.Cost_model.t2a in
-  add
-    "  \"yield_handoff\": {\"paper_cycles\": %.1f, \"m1\": %s, \"t2a\": %s}\n"
-    Lfi_experiments.Handoff.paper_cycles
-    (Lfi_experiments.Handoff.to_json hm1)
-    (Lfi_experiments.Handoff.to_json ht2a);
   (* the knee sweep as its own artifact (CI uploads it) *)
-  let kb = Buffer.create 1024 in
-  let kadd fmt = Printf.ksprintf (Buffer.add_string kb) fmt in
-  kadd "{\n  \"schema\": \"lfi-serve-knee/v1\",\n";
-  kadd "  \"workload\": %S,\n  \"seed\": %d,\n" spec.Lfi_libbox.Api.l_short
-    seed;
-  kadd "  \"pool\": %d,\n  \"requests_per_rate\": %d,\n" S.knee_pool
-    S.knee_requests;
-  kadd "  \"max_sustainable_rps\": %.0f,\n  \"rates\": [\n" knee;
-  List.iteri
-    (fun i (rate, r) ->
-      kadd
-        "    {\"offered_rps\": %.0f, \"achieved_rps\": %.0f, \"p50\": %s, \
-         \"p99\": %s, \"p999\": %s, \"shed\": %d, \"shed_queue\": %d}%s\n"
-        rate r.Serve.achieved_rps
-        (Lfi_libbox.Snapshot.json_float r.Serve.latency_p50)
-        (Lfi_libbox.Snapshot.json_float r.Serve.latency_p99)
-        (Lfi_libbox.Snapshot.json_float r.Serve.latency_p999)
-        r.Serve.shed (shed_queue r)
-        (if i = List.length knee_rows - 1 then "" else ","))
-    knee_rows;
-  kadd "  ]\n}\n";
   let oc = open_out knee_file in
-  Buffer.output_buffer oc kb;
+  output_string oc
+    (Json.to_string
+       (Json.block
+          [ ("schema", Json.String "lfi-serve-knee/v1");
+            ("workload", Json.String spec.Lfi_libbox.Api.l_short);
+            ("seed", Json.Int seed); ("pool", Json.Int S.knee_pool);
+            ("requests_per_rate", Json.Int S.knee_requests);
+            ("max_sustainable_rps", Json.float ~digits:0 knee);
+            ("rates", Json.rows (List.map (fun k -> Json.Object (rate_row k)) knee_rows)) ]));
+  output_string oc "\n";
   close_out oc;
   Printf.eprintf "wrote %s (knee sweep artifact)\n" knee_file;
   Printf.eprintf
@@ -141,7 +109,31 @@ let suite_sections spec seed knee_file =
     closed_r.Serve.latency_p999 knee hm1.Lfi_experiments.Handoff.h_cycles_per_handoff
     ht2a.Lfi_experiments.Handoff.h_cycles_per_handoff
     Lfi_experiments.Handoff.paper_cycles;
-  Buffer.contents b
+  [ ("open_loop", open_r.Serve.summary);
+    ("closed_loop", closed_r.Serve.summary);
+    ( "knee",
+      Json.Object
+        [ ("pool", Json.Int S.knee_pool);
+          ("requests_per_rate", Json.Int S.knee_requests);
+          ("max_sustainable_rps", Json.float ~digits:0 knee);
+          ( "rule",
+            Json.String
+              "largest swept rate with p999 <= 4x the lowest rate's p999 and \
+               no queue-bound sheds" );
+          ( "rates",
+            Json.Nl
+              (Json.Array
+                 (List.map
+                    (fun ((_, r) as k) ->
+                      Json.Object
+                        (rate_row k
+                        @ [ ("duration_cycles", Json.float r.Serve.duration_cycles) ]))
+                    knee_rows)) ) ] );
+    ( "yield_handoff",
+      Json.Object
+        [ ("paper_cycles", Json.float Lfi_experiments.Handoff.paper_cycles);
+          ("m1", Lfi_experiments.Handoff.to_json hm1);
+          ("t2a", Lfi_experiments.Handoff.to_json ht2a) ] ) ]
 
 let run workload requests pool seed machine json filter trace snapshot
     snapshot_every arrival rate concurrency tenants batch_max suite knee_file =
@@ -216,16 +208,15 @@ let run workload requests pool seed machine json filter trace snapshot
           close_out oc;
           Printf.eprintf "wrote %s (%d frames; view with lfi_top)\n" file
             (List.length report.Serve.snapshots));
-      (* --suite: splice the scale runs into the anchor report, just
-         before its closing brace, so the anchor's v2/v3 lines stay
-         byte-identical to a plain run *)
       let final_json =
         if not suite then report.Serve.json
-        else begin
-          let extra = suite_sections spec seed knee_file in
-          let j = report.Serve.json in
-          String.sub j 0 (String.length j - 2) ^ extra ^ "}\n"
-        end
+        else
+          let sections = suite_sections spec seed knee_file in
+          Json.to_string
+            (Object
+               (Json.obj report.Serve.doc
+               @ List.map (fun (k, v) -> (k, Json.Nl v)) sections))
+          ^ "\n"
       in
       (match json with
       | None -> print_string final_json

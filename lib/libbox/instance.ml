@@ -348,9 +348,9 @@ let call (inst : t) (name : string) (args : Api.arg list) :
                             ~name:("call:" ^ name) ~cat:"libbox" ~ts:t0
                             ~dur:total ~pid:Runtime.trace_pid ~tid:p.Proc.pid
                             ~args:
-                              [ ("ret", Lfi_telemetry.Trace.I64 ret);
+                              [ ("ret", Lfi_telemetry.Json.Float (Int64.to_float ret, 0));
                                 ( "gate_cycles",
-                                  Lfi_telemetry.Trace.Int
+                                  Lfi_telemetry.Json.Int
                                     (int_of_float !gate) ) ]);
                       Ok
                         {

@@ -14,187 +14,12 @@
     recordings replay in `lfi_top` unchanged; their tenant table is
     simply empty).
 
-    The module is deliberately self-contained in both directions:
-    {!to_json} renders a frame, {!of_json} parses one back (via the
-    minimal {!Json} reader below — the repo takes no JSON dependency),
-    and {!render} lays a parsed frame out as the `lfi_top` table. *)
+    {!to_json} renders a frame, {!of_json} parses one back (both
+    through {!Lfi_telemetry.Json}), and {!render} lays a parsed frame
+    out as the `lfi_top` table. *)
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON reader                                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at %d" msg !pos)) in
-    let peek () = if !pos < n then s.[!pos] else '\000' in
-    let skip_ws () =
-      while
-        !pos < n
-        && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if peek () = c then incr pos
-      else fail (Printf.sprintf "expected %C" c)
-    in
-    let literal word v =
-      let m = String.length word in
-      if !pos + m <= n && String.sub s !pos m = word then begin
-        pos := !pos + m;
-        v
-      end
-      else fail ("bad literal " ^ word)
-    in
-    let string_body () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          match s.[!pos] with
-          | '"' -> incr pos
-          | '\\' ->
-              incr pos;
-              (match peek () with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | '/' -> Buffer.add_char b '/'
-              | 'n' -> Buffer.add_char b '\n'
-              | 't' -> Buffer.add_char b '\t'
-              | 'r' -> Buffer.add_char b '\r'
-              | 'u' ->
-                  (* our writer only emits \u00XX for control bytes *)
-                  if !pos + 4 >= n then fail "bad \\u escape";
-                  let code =
-                    int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
-                  in
-                  Buffer.add_char b (Char.chr (code land 0xff));
-                  pos := !pos + 4
-              | c -> fail (Printf.sprintf "bad escape %C" c));
-              incr pos;
-              go ()
-          | c ->
-              Buffer.add_char b c;
-              incr pos;
-              go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let number () =
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match s.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr pos
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "bad number"
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | '{' ->
-          incr pos;
-          skip_ws ();
-          if peek () = '}' then begin
-            incr pos;
-            Obj []
-          end
-          else
-            let rec members acc =
-              skip_ws ();
-              let k = string_body () in
-              skip_ws ();
-              expect ':';
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | ',' ->
-                  incr pos;
-                  members ((k, v) :: acc)
-              | '}' ->
-                  incr pos;
-                  Obj (List.rev ((k, v) :: acc))
-              | _ -> fail "expected , or }"
-            in
-            members []
-      | '[' ->
-          incr pos;
-          skip_ws ();
-          if peek () = ']' then begin
-            incr pos;
-            Arr []
-          end
-          else
-            let rec elems acc =
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | ',' ->
-                  incr pos;
-                  elems (v :: acc)
-              | ']' ->
-                  incr pos;
-                  Arr (List.rev (v :: acc))
-              | _ -> fail "expected , or ]"
-            in
-            elems []
-      | '"' -> Str (string_body ())
-      | 't' -> literal "true" (Bool true)
-      | 'f' -> literal "false" (Bool false)
-      | 'n' -> literal "null" Null
-      | _ -> number ()
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let field obj name =
-    match obj with
-    | Obj kvs -> (
-        match List.assoc_opt name kvs with
-        | Some v -> v
-        | None -> raise (Parse_error ("missing field " ^ name)))
-    | _ -> raise (Parse_error ("not an object at field " ^ name))
-
-  let str = function
-    | Str s -> s
-    | _ -> raise (Parse_error "expected string")
-
-  let num = function
-    | Num f -> f
-    | Null -> Float.nan  (* the NaN→null serialization convention *)
-    | _ -> raise (Parse_error "expected number")
-
-  let boolean = function
-    | Bool b -> b
-    | _ -> raise (Parse_error "expected bool")
-
-  let arr = function
-    | Arr l -> l
-    | _ -> raise (Parse_error "expected array")
-end
+module Json = Lfi_telemetry.Json
+module Slo = Lfi_telemetry.Slo
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot model                                                       *)
@@ -251,77 +76,53 @@ type t = {
   slots : slot_row list;
   tenants : tenant_row list;  (** empty on parsed v1 frames *)
   phases : (string * float) list;  (** cumulative cycles per span phase *)
-  alerts : Lfi_telemetry.Slo.alert list;
+  alerts : Slo.alert list;
 }
 
-let json_float (v : float) : string =
-  if Float.is_nan v then "null" else Printf.sprintf "%.1f" v
+let slot_json (s : slot_row) : Json.t =
+  Object
+    [ ("slot", Int s.sl_slot); ("pid", Int s.sl_pid); ("alive", Bool s.sl_alive);
+      ("calls", Int s.sl_calls); ("resets", Int s.sl_resets);
+      ("insns", Int s.sl_insns); ("pages_restored", Int s.sl_restored) ]
 
 (** One frame as a single JSON line (no trailing newline). *)
 let to_json (t : t) : string =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"schema\": \"lfi-snap/v2\", \"workload\": %S, \"seq\": %d, " t.workload
-    t.seq;
-  add "\"now\": %.1f, \"completed\": %d, \"failed\": %d, \"instances_lost\": %d, "
-    t.now t.completed t.failed t.retired;
-  add "\"window_cycles\": %.0f, \"windows\": %d, " t.window_cycles t.windows;
-  add "\"exports\": [";
-  List.iteri
-    (fun i x ->
-      if i > 0 then add ", ";
-      add
-        "{\"name\": %S, \"requests\": %d, \"errors\": %d, \"p50\": %s, \
-         \"p99\": %s, \"p999\": %s, \"mean\": %s, \"insns_per_request\": %s, \
-         \"burn_fast\": %.2f, \"burn_slow\": %.2f, \"alerting\": %b}"
-        x.x_name x.x_req x.x_err (json_float x.x_p50) (json_float x.x_p99)
-        (json_float x.x_p999) (json_float x.x_mean) (json_float x.x_ipr)
-        x.x_burn_fast x.x_burn_slow x.x_alerting)
-    t.exports;
-  add "], \"slots\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then add ", ";
-      add
-        "{\"slot\": %d, \"pid\": %d, \"alive\": %b, \"calls\": %d, \
-         \"resets\": %d, \"insns\": %d, \"pages_restored\": %d}"
-        s.sl_slot s.sl_pid s.sl_alive s.sl_calls s.sl_resets s.sl_insns
-        s.sl_restored)
-    t.slots;
-  add "], \"tenants\": [";
-  List.iteri
-    (fun i tn ->
-      if i > 0 then add ", ";
-      add
-        "{\"tenant\": %S, \"depth\": %d, \"depth_max\": %d, \"admitted\": %d, \
-         \"completed\": %d, \"failed\": %d, \"shed_queue\": %d, \
-         \"shed_quota\": %d, \"quota_utilization\": %s, \"steals\": %d, \
-         \"p99\": %s}"
-        tn.tn_name tn.tn_depth tn.tn_depth_max tn.tn_admitted tn.tn_completed
-        tn.tn_failed tn.tn_shed_queue tn.tn_shed_quota
-        (if Float.is_nan tn.tn_quota_util then "null"
-         else Printf.sprintf "%.3f" tn.tn_quota_util)
-        tn.tn_steals (json_float tn.tn_p99))
-    t.tenants;
-  add "], \"phases\": {";
-  List.iteri
-    (fun i (name, cycles) ->
-      if i > 0 then add ", ";
-      add "%S: %.1f" name cycles)
-    t.phases;
-  add "}, \"alerts\": [";
-  List.iteri
-    (fun i (a : Lfi_telemetry.Slo.alert) ->
-      if i > 0 then add ", ";
-      add
-        "{\"export\": %S, \"window\": %d, \"kind\": %S, \"fast\": %.2f, \
-         \"slow\": %.2f}"
-        a.Lfi_telemetry.Slo.a_export a.Lfi_telemetry.Slo.a_window
-        (Lfi_telemetry.Slo.kind_name a.Lfi_telemetry.Slo.a_kind)
-        a.Lfi_telemetry.Slo.a_fast a.Lfi_telemetry.Slo.a_slow)
-    t.alerts;
-  add "]}";
-  Buffer.contents b
+  let f1 = Json.float and f2 = Json.float ~digits:2 in
+  let exports =
+    List.map
+      (fun x ->
+        Json.Object
+          [ ("name", String x.x_name); ("requests", Int x.x_req);
+            ("errors", Int x.x_err); ("p50", f1 x.x_p50); ("p99", f1 x.x_p99);
+            ("p999", f1 x.x_p999); ("mean", f1 x.x_mean);
+            ("insns_per_request", f1 x.x_ipr); ("burn_fast", f2 x.x_burn_fast);
+            ("burn_slow", f2 x.x_burn_slow); ("alerting", Bool x.x_alerting) ])
+      t.exports
+  in
+  let tenants =
+    List.map
+      (fun tn ->
+        Json.Object
+          [ ("tenant", String tn.tn_name); ("depth", Int tn.tn_depth);
+            ("depth_max", Int tn.tn_depth_max);
+            ("admitted", Int tn.tn_admitted);
+            ("completed", Int tn.tn_completed); ("failed", Int tn.tn_failed);
+            ("shed_queue", Int tn.tn_shed_queue);
+            ("shed_quota", Int tn.tn_shed_quota);
+            ("quota_utilization", Json.float ~digits:3 tn.tn_quota_util);
+            ("steals", Int tn.tn_steals); ("p99", f1 tn.tn_p99) ])
+      t.tenants
+  in
+  Json.to_string
+    (Object
+       [ ("schema", String "lfi-snap/v2"); ("workload", String t.workload);
+         ("seq", Int t.seq); ("now", f1 t.now); ("completed", Int t.completed);
+         ("failed", Int t.failed); ("instances_lost", Int t.retired);
+         ("window_cycles", Json.float ~digits:0 t.window_cycles);
+         ("windows", Int t.windows); ("exports", Array exports);
+         ("slots", Array (List.map slot_json t.slots)); ("tenants", Array tenants);
+         ("phases", Object (List.map (fun (n, c) -> (n, f1 c)) t.phases));
+         ("alerts", Array (List.map Slo.alert_json t.alerts)) ])
 
 exception Bad_snapshot of string
 
@@ -333,87 +134,84 @@ let of_json (line : string) : t =
   | j -> (
       try
         let open Json in
-        let schema = str (field j "schema") in
+        let schema = str (field "schema" j) in
         if schema <> "lfi-snap/v1" && schema <> "lfi-snap/v2" then
           raise (Bad_snapshot "not an lfi-snap/v1 or /v2 frame");
-        let int_of v = int_of_float (num v) in
         {
-          workload = str (field j "workload");
-          seq = int_of (field j "seq");
-          now = num (field j "now");
-          completed = int_of (field j "completed");
-          failed = int_of (field j "failed");
-          retired = int_of (field j "instances_lost");
-          window_cycles = num (field j "window_cycles");
-          windows = int_of (field j "windows");
+          workload = str (field "workload" j);
+          seq = int (field "seq" j);
+          now = num (field "now" j);
+          completed = int (field "completed" j);
+          failed = int (field "failed" j);
+          retired = int (field "instances_lost" j);
+          window_cycles = num (field "window_cycles" j);
+          windows = int (field "windows" j);
           exports =
             List.map
               (fun x ->
                 {
-                  x_name = str (field x "name");
-                  x_req = int_of (field x "requests");
-                  x_err = int_of (field x "errors");
-                  x_p50 = num (field x "p50");
-                  x_p99 = num (field x "p99");
-                  x_p999 = num (field x "p999");
-                  x_mean = num (field x "mean");
-                  x_ipr = num (field x "insns_per_request");
-                  x_burn_fast = num (field x "burn_fast");
-                  x_burn_slow = num (field x "burn_slow");
-                  x_alerting = boolean (field x "alerting");
+                  x_name = str (field "name" x);
+                  x_req = int (field "requests" x);
+                  x_err = int (field "errors" x);
+                  x_p50 = num (field "p50" x);
+                  x_p99 = num (field "p99" x);
+                  x_p999 = num (field "p999" x);
+                  x_mean = num (field "mean" x);
+                  x_ipr = num (field "insns_per_request" x);
+                  x_burn_fast = num (field "burn_fast" x);
+                  x_burn_slow = num (field "burn_slow" x);
+                  x_alerting = boolean (field "alerting" x);
                 })
-              (arr (field j "exports"));
+              (arr (field "exports" j));
           slots =
             List.map
               (fun s ->
                 {
-                  sl_slot = int_of (field s "slot");
-                  sl_pid = int_of (field s "pid");
-                  sl_alive = boolean (field s "alive");
-                  sl_calls = int_of (field s "calls");
-                  sl_resets = int_of (field s "resets");
-                  sl_insns = int_of (field s "insns");
-                  sl_restored = int_of (field s "pages_restored");
+                  sl_slot = int (field "slot" s);
+                  sl_pid = int (field "pid" s);
+                  sl_alive = boolean (field "alive" s);
+                  sl_calls = int (field "calls" s);
+                  sl_resets = int (field "resets" s);
+                  sl_insns = int (field "insns" s);
+                  sl_restored = int (field "pages_restored" s);
                 })
-              (arr (field j "slots"));
+              (arr (field "slots" j));
           tenants =
             (if schema = "lfi-snap/v1" then []
              else
                List.map
                  (fun tn ->
                    {
-                     tn_name = str (field tn "tenant");
-                     tn_depth = int_of (field tn "depth");
-                     tn_depth_max = int_of (field tn "depth_max");
-                     tn_admitted = int_of (field tn "admitted");
-                     tn_completed = int_of (field tn "completed");
-                     tn_failed = int_of (field tn "failed");
-                     tn_shed_queue = int_of (field tn "shed_queue");
-                     tn_shed_quota = int_of (field tn "shed_quota");
-                     tn_quota_util = num (field tn "quota_utilization");
-                     tn_steals = int_of (field tn "steals");
-                     tn_p99 = num (field tn "p99");
+                     tn_name = str (field "tenant" tn);
+                     tn_depth = int (field "depth" tn);
+                     tn_depth_max = int (field "depth_max" tn);
+                     tn_admitted = int (field "admitted" tn);
+                     tn_completed = int (field "completed" tn);
+                     tn_failed = int (field "failed" tn);
+                     tn_shed_queue = int (field "shed_queue" tn);
+                     tn_shed_quota = int (field "shed_quota" tn);
+                     tn_quota_util = num (field "quota_utilization" tn);
+                     tn_steals = int (field "steals" tn);
+                     tn_p99 = num (field "p99" tn);
                    })
-                 (arr (field j "tenants")));
+                 (arr (field "tenants" j)));
           phases =
-            (match field j "phases" with
-            | Obj kvs -> List.map (fun (k, v) -> (k, num v)) kvs
-            | _ -> raise (Bad_snapshot "phases not an object"));
+            List.map (fun (k, v) -> (k, num v)) (obj (field "phases" j));
           alerts =
             List.map
               (fun a ->
                 {
-                  Lfi_telemetry.Slo.a_export = str (field a "export");
-                  a_window = int_of (field a "window");
+                  Slo.a_export = str (field "export" a);
+                  a_window = int (field "window" a);
                   a_kind =
-                    (match str (field a "kind") with
-                    | "latency" -> Lfi_telemetry.Slo.Latency
-                    | "error_rate" -> Lfi_telemetry.Slo.Error_rate
+                    (match str (field "kind" a) with
+                    | "latency" -> Slo.Latency
+                    | "error_rate" -> Slo.Error_rate
                     | k -> raise (Bad_snapshot ("unknown alert kind " ^ k)));
-                  a_fast = num (field a "fast");
-                  a_slow = num (field a "slow");
+                  a_fast = num (field "fast" a);
+                  a_slow = num (field "slow" a);
                 })
-              (arr (field j "alerts"));
+              (arr (field "alerts" j));
         }
       with Json.Parse_error msg -> raise (Bad_snapshot msg))
 
@@ -478,10 +276,10 @@ let render (t : t) : string =
   | alerts ->
       add "\nALERTS (%d):\n" (List.length alerts);
       List.iter
-        (fun (a : Lfi_telemetry.Slo.alert) ->
+        (fun (a : Slo.alert) ->
           add "  window %3d  %-12s %-10s burn fast %.1f slow %.1f\n"
-            a.Lfi_telemetry.Slo.a_window a.Lfi_telemetry.Slo.a_export
-            (Lfi_telemetry.Slo.kind_name a.Lfi_telemetry.Slo.a_kind)
-            a.Lfi_telemetry.Slo.a_fast a.Lfi_telemetry.Slo.a_slow)
+            a.Slo.a_window a.Slo.a_export
+            (Slo.kind_name a.Slo.a_kind)
+            a.Slo.a_fast a.Slo.a_slow)
         alerts);
   Buffer.contents b

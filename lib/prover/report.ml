@@ -1,7 +1,7 @@
 (** The [lfi-prove/v1] report (DESIGN.md §5i).
 
     Byte-stable by construction, like the fuzz and bench reports: the
-    JSON is hand-rolled with a fixed field order, counts are fully
+    JSON has a fixed field order, counts are fully
     determined by (strata tier, verifier config), and wall-clock
     timing is only included when explicitly requested ([~elapsed_ms]),
     so the default report can be pinned by a golden test and compared
@@ -36,69 +36,33 @@ let total_holes r = total (fun s -> s.holes) r
 
 (* ---- JSON ---- *)
 
-let buf_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let to_json (r : t) : string =
-  let b = Buffer.create 4096 in
-  let str s =
-    Buffer.add_char b '"';
-    buf_escape b s;
-    Buffer.add_char b '"'
+  let module J = Lfi_telemetry.Json in
+  let counts f =
+    [ ("candidates", J.Int (f (fun s -> s.candidates)));
+      ("rejected", J.Int (f (fun s -> s.rejected)));
+      ("accepted", J.Int (f (fun s -> s.accepted)));
+      ("proved", J.Int (f (fun s -> s.proved)));
+      ("holes", J.Int (f (fun s -> s.holes))) ]
   in
-  Buffer.add_string b "{\"schema\":\"lfi-prove/v1\",\"tier\":";
-  str r.tier;
-  Buffer.add_string b ",\"weakenings\":[";
-  List.iteri
-    (fun k w ->
-      if k > 0 then Buffer.add_char b ',';
-      str w)
-    r.weakenings;
-  Buffer.add_string b "],\"strata\":[";
-  List.iteri
-    (fun k s ->
-      if k > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"name\":";
-      str s.s_name;
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"candidates\":%d,\"rejected\":%d,\"accepted\":%d,\"proved\":%d,\"holes\":%d,\"samples\":["
-           s.candidates s.rejected s.accepted s.proved s.holes);
-      List.iteri
-        (fun j h ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"word\":\"0x%08x\",\"disasm\":" h.word);
-          str h.disasm;
-          Buffer.add_string b ",\"clause\":";
-          str h.clause;
-          Buffer.add_string b ",\"detail\":";
-          str h.detail;
-          Buffer.add_char b '}')
-        s.samples;
-      Buffer.add_string b "]}")
-    r.strata;
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\"totals\":{\"candidates\":%d,\"rejected\":%d,\"accepted\":%d,\"proved\":%d,\"holes\":%d},\"elapsed_ms\":%s}"
-       (total (fun s -> s.candidates) r)
-       (total (fun s -> s.rejected) r)
-       (total (fun s -> s.accepted) r)
-       (total (fun s -> s.proved) r)
-       (total_holes r)
-       (match r.elapsed_ms with
-       | None -> "null"
-       | Some ms -> string_of_int ms));
-  Buffer.contents b
+  let hole h =
+    J.Object
+      [ ("word", J.String (Printf.sprintf "0x%08x" h.word));
+        ("disasm", J.String h.disasm); ("clause", J.String h.clause);
+        ("detail", J.String h.detail) ]
+  in
+  let stratum s =
+    J.Object
+      ((("name", J.String s.s_name) :: counts (fun f -> f s))
+      @ [ ("samples", J.Array (List.map hole s.samples)) ])
+  in
+  J.to_string ~compact:true
+    (J.Object
+       [ ("schema", J.String "lfi-prove/v1"); ("tier", J.String r.tier);
+         ("weakenings", J.Array (List.map (fun w -> J.String w) r.weakenings));
+         ("strata", J.Array (List.map stratum r.strata));
+         ("totals", J.Object (counts (fun f -> total f r)));
+         ("elapsed_ms", J.option (fun ms -> J.Int ms) r.elapsed_ms) ])
 
 (* ---- human summary ---- *)
 

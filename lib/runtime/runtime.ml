@@ -200,17 +200,17 @@ let page = Memory.page_size
 let align_down v = v / page * page
 let align_up v = (v + page - 1) / page * page
 
-let map_range rt (base : int64) ~(off : int) ~(len : int) ~perm =
+let map_range mem (base : int64) ~(off : int) ~(len : int) ~perm =
   let lo = align_down off and hi = align_up (off + len) in
-  Memory.map rt.mem
+  Memory.map mem
     ~addr:(Int64.add base (Int64.of_int lo))
     ~len:(hi - lo) ~perm
 
 (** Build the read-only runtime-call table in the slot's first page.
     Entries hold host entry addresses; unused entries point into the
     (unmapped) guard region so a stray call traps. *)
-let install_rtcall_table rt (base : int64) =
-  map_range rt base ~off:0 ~len:Lfi_core.Layout.rtcall_table_size
+let install_rtcall_table mem (base : int64) =
+  map_range mem base ~off:0 ~len:Lfi_core.Layout.rtcall_table_size
     ~perm:Memory.perm_rw;
   let guard_trap = Int64.add base (Int64.of_int Lfi_core.Layout.rtcall_table_size) in
   for k = 0 to Lfi_core.Layout.rtcall_entry_count - 1 do
@@ -219,11 +219,11 @@ let install_rtcall_table rt (base : int64) =
         Int64.add Machine.host_region_start (Int64.of_int (8 * k))
       else guard_trap
     in
-    Memory.write rt.mem
+    Memory.write mem
       (Int64.add base (Int64.of_int (Lfi_core.Layout.rtcall_entry_offset k)))
       8 value
   done;
-  Memory.protect rt.mem ~addr:base ~len:Lfi_core.Layout.rtcall_table_size
+  Memory.protect mem ~addr:base ~len:Lfi_core.Layout.rtcall_table_size
     ~perm:Memory.perm_r
 
 let alloc_slot rt : int =
@@ -284,6 +284,36 @@ let initial_snapshot (base : int64) ~(entry : int) ~(arg : int64) :
       s_vhi = Array.make 32 0L;
     }
 
+(** Map [elf]'s segments into the slot at [base] (memsz mapped, filesz
+    copied, executable segments then made RX) and the stack below the
+    top guard region; returns the end of the highest segment.  Shared
+    by {!load} and the fuzzer's bare-machine loader. *)
+let map_image mem (base : int64) ~(stack_size : int) (elf : Lfi_elf.Elf.t) :
+    int =
+  let data_end = ref Lfi_core.Layout.code_origin in
+  List.iter
+    (fun (s : Lfi_elf.Elf.segment) ->
+      let len = s.Lfi_elf.Elf.memsz in
+      if s.vaddr < Lfi_core.Layout.code_origin then
+        raise (Load_error "segment below code origin");
+      if s.flags land Lfi_elf.Elf.pf_x <> 0
+         && s.vaddr + len > Lfi_core.Layout.code_limit
+      then raise (Load_error "executable segment in the top 128MiB");
+      (* map memsz (the BSS tail is zero pages), copy filesz *)
+      map_range mem base ~off:s.vaddr ~len ~perm:Memory.perm_rw;
+      Memory.write_bytes mem (Int64.add base (Int64.of_int s.vaddr)) s.data;
+      if s.flags land Lfi_elf.Elf.pf_x <> 0 then
+        Memory.protect mem
+          ~addr:(Int64.add base (Int64.of_int (align_down s.vaddr)))
+          ~len:(align_up (s.vaddr + len) - align_down s.vaddr)
+          ~perm:Memory.perm_rx;
+      data_end := max !data_end (s.vaddr + len))
+    elf.Lfi_elf.Elf.segments;
+  map_range mem base
+    ~off:(Lfi_core.Layout.stack_top - stack_size)
+    ~len:stack_size ~perm:Memory.perm_rw;
+  !data_end
+
 (** Load an ELF image into a fresh slot and create the process.
     Sandboxed programs ([`Lfi]) are statically verified first; native
     personalities run unsandboxed in slot 0 (base address 0), where
@@ -312,31 +342,8 @@ let load rt ?(arg = 0L) ~(personality : Proc.personality)
   end;
   let slot = if native then 0 else alloc_slot rt in
   let base = Lfi_core.Layout.slot_base slot in
-  if not native then install_rtcall_table rt base;
-  (* Map and copy the segments. *)
-  let data_end = ref Lfi_core.Layout.code_origin in
-  List.iter
-    (fun (s : Lfi_elf.Elf.segment) ->
-      let len = s.Lfi_elf.Elf.memsz in
-      if s.vaddr < Lfi_core.Layout.code_origin then
-        raise (Load_error "segment below code origin");
-      if s.flags land Lfi_elf.Elf.pf_x <> 0
-         && s.vaddr + len > Lfi_core.Layout.code_limit
-      then raise (Load_error "executable segment in the top 128MiB");
-      (* map memsz (the BSS tail is zero pages), copy filesz *)
-      map_range rt base ~off:s.vaddr ~len ~perm:Memory.perm_rw;
-      Memory.write_bytes rt.mem (Int64.add base (Int64.of_int s.vaddr)) s.data;
-      if s.flags land Lfi_elf.Elf.pf_x <> 0 then
-        Memory.protect rt.mem
-          ~addr:(Int64.add base (Int64.of_int (align_down s.vaddr)))
-          ~len:(align_up (s.vaddr + len) - align_down s.vaddr)
-          ~perm:Memory.perm_rx;
-      data_end := max !data_end (s.vaddr + len))
-    elf.Lfi_elf.Elf.segments;
-  (* Stack below the top guard region. *)
-  map_range rt base
-    ~off:(Lfi_core.Layout.stack_top - rt.cfg.stack_size)
-    ~len:rt.cfg.stack_size ~perm:Memory.perm_rw;
+  if not native then install_rtcall_table rt.mem base;
+  let data_end = map_image rt.mem base ~stack_size:rt.cfg.stack_size elf in
   let pid = rt.next_pid in
   rt.next_pid <- pid + 1;
   if native then rt.native_loaded <- true;
@@ -350,7 +357,7 @@ let load rt ?(arg = 0L) ~(personality : Proc.personality)
       snapshot = initial_snapshot base ~entry:elf.Lfi_elf.Elf.entry ~arg;
       fds = Hashtbl.create 8;
       next_fd = 3;
-      heap_end = Int64.add base (Int64.of_int (align_up !data_end));
+      heap_end = Int64.add base (Int64.of_int (align_up data_end));
       parent = None;
       children = [];
       stdout = Buffer.create 256;
@@ -448,7 +455,7 @@ let do_fork rt (parent : Proc.t) : int =
   else begin
     let slot = alloc_slot rt in
     let base = Lfi_core.Layout.slot_base slot in
-    install_rtcall_table rt base;
+    install_rtcall_table rt.mem base;
     (* Copy every mapped page of the parent slot (eager copy; the paper
        also describes copy-on-write via memfd, which we do not model). *)
     let parent_first = Int64.to_int (Int64.shift_right_logical parent.Proc.base Memory.page_bits) in
@@ -511,7 +518,7 @@ let do_fork rt (parent : Proc.t) : int =
         Lfi_telemetry.Trace.instant t ~name:"fork" ~cat:"proc"
           ~ts:(Machine.cycles rt.machine) ~pid:trace_pid
           ~tid:parent.Proc.pid
-          ~args:[ ("child", Lfi_telemetry.Trace.Int pid) ]);
+          ~args:[ ("child", Lfi_telemetry.Json.Int pid) ]);
     pid
   end
 
@@ -1100,8 +1107,8 @@ let run rt : (int * exit_reason) list =
           ~cat:"overhead" ~ts:(Machine.cycles m) ~pid:trace_pid
           ~args:
             [ ( "attributed",
-                Lfi_telemetry.Trace.Float
-                  (Lfi_telemetry.Overhead.attributed_cycles a) ) ]
+                Lfi_telemetry.Json.Float
+                  (Lfi_telemetry.Overhead.attributed_cycles a, 3) ) ]
     | _ -> ());
     match ev with
     | Exec.Quantum_expired ->
@@ -1154,7 +1161,7 @@ let run rt : (int * exit_reason) list =
     | Some t ->
         Lfi_telemetry.Trace.complete t ~name:(Sysno.name k) ~cat:"rtcall"
           ~ts:t0 ~dur ~pid:trace_pid ~tid:p.Proc.pid
-          ~args:[ ("result", Lfi_telemetry.Trace.I64 m.Machine.regs.(0)) ]);
+          ~args:[ ("result", Lfi_telemetry.Json.Float (Int64.to_float m.Machine.regs.(0), 0)) ]);
     (match rt.call_hist with
     | None -> ()
     | Some hs ->
@@ -1189,45 +1196,41 @@ let run_one rt (p : Proc.t) =
     the scheduler counters, and (when metrics were enabled) one latency
     histogram per runtime call that occurred. *)
 let metrics_json rt : string =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"emulator\": ";
-  Buffer.add_string b
-    (Lfi_telemetry.Metrics.snapshot_to_json (metrics_snapshot rt));
-  Buffer.add_string b ",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"runtime\": {\"ctx_switches\": %d, \"rtcalls\": %d, \
-        \"preemptions\": %d, \"insns\": %d, \"cycles\": %.1f}"
-       rt.ctx_switches rt.rtcalls rt.preemptions (insns rt) (cycles rt));
+  let module J = Lfi_telemetry.Json in
   (* guard-clamp audit: per-sandbox and total counts of guarded
      accesses whose unguarded address would have escaped the sandbox *)
-  Buffer.add_string b
-    (Printf.sprintf ",\n  \"guard_clamps\": {\"total\": %d" (total_clamps rt));
-  Hashtbl.fold (fun _ p acc -> p :: acc) rt.procs []
-  |> List.sort (fun a b -> compare a.Proc.pid b.Proc.pid)
-  |> List.iter (fun p ->
-         Buffer.add_string b
-           (Printf.sprintf ", \"sandbox_%d\": %d" p.Proc.pid
-              (Lfi_telemetry.Flight.clamps p.Proc.flight)));
-  Buffer.add_string b "}";
-  (match rt.call_hist with
-  | None -> ()
-  | Some hs ->
-      Buffer.add_string b ",\n  \"rtcall_latency\": {\n";
-      let first = ref true in
-      Array.iteri
-        (fun k h ->
-          if h.Lfi_telemetry.Histogram.count > 0 then begin
-            if not !first then Buffer.add_string b ",\n";
-            first := false;
-            Buffer.add_string b
-              (Printf.sprintf "    \"%s\": %s" (Sysno.name k)
-                 (Lfi_telemetry.Histogram.to_json h))
-          end)
-        hs;
-      Buffer.add_string b "\n  }");
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
+  let clamps =
+    Hashtbl.fold (fun _ p acc -> p :: acc) rt.procs []
+    |> List.sort (fun a b -> compare a.Proc.pid b.Proc.pid)
+    |> List.map (fun p ->
+           ( Printf.sprintf "sandbox_%d" p.Proc.pid,
+             J.Int (Lfi_telemetry.Flight.clamps p.Proc.flight) ))
+  in
+  let latency =
+    match rt.call_hist with
+    | None -> []
+    | Some hs ->
+        [ ( "rtcall_latency",
+            J.block
+              (List.filter_map
+                 (fun k ->
+                   let h = hs.(k) in
+                   if h.Lfi_telemetry.Histogram.count = 0 then None
+                   else Some (Sysno.name k, Lfi_telemetry.Histogram.json h))
+                 (List.init (Array.length hs) Fun.id)) ) ]
+  in
+  J.to_string
+    (J.block
+       ([ ("emulator", Lfi_telemetry.Metrics.snapshot_json (metrics_snapshot rt));
+          ( "runtime",
+            J.Object
+              [ ("ctx_switches", J.Int rt.ctx_switches);
+                ("rtcalls", J.Int rt.rtcalls);
+                ("preemptions", J.Int rt.preemptions);
+                ("insns", J.Int (insns rt)); ("cycles", J.float (cycles rt)) ] );
+          ("guard_clamps", J.Object (("total", J.Int (total_clamps rt)) :: clamps)) ]
+       @ latency))
+  ^ "\n"
 
 (** Per-sandbox flat profiles, one entry per process still in the
     table (exited-but-unreaped zombies included), ordered by pid.  A

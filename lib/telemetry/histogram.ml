@@ -75,19 +75,15 @@ let percentile t (q : float) : float =
 
 (** JSON object: count/mean/max plus the non-empty buckets as
     [[upper_bound, count], ...] pairs (upper bound exclusive). *)
-let to_json t : string =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"count\": %d, \"mean\": %.1f, \"max\": %.1f, \"buckets\": ["
-       t.count (mean t) t.max);
-  let first = ref true in
-  Array.iteri
-    (fun i n ->
-      if n > 0 then begin
-        if not !first then Buffer.add_string b ", ";
-        first := false;
-        Buffer.add_string b (Printf.sprintf "[%d, %d]" (1 lsl i) n)
-      end)
-    t.buckets;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+let json t : Json.t =
+  let buckets =
+    List.concat
+      (List.init nbuckets (fun i ->
+           let n = t.buckets.(i) in
+           if n > 0 then [ Json.Array [ Int (1 lsl i); Int n ] ] else []))
+  in
+  Object
+    [ ("count", Int t.count); ("mean", Json.float (mean t));
+      ("max", Json.float t.max); ("buckets", Array buckets) ]
+
+let to_json t = Json.to_string (json t)

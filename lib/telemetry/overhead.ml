@@ -158,20 +158,6 @@ let attributed_cycles (a : acc) = a.attributed.(0)
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let esc (s : string) : string =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (** One paired-run data point: optimization level name and the cycle
     count of the same workload rewritten at that level. *)
 type level = { lv_name : string; lv_cycles : float }
@@ -192,15 +178,8 @@ let report ~(workload : string) ~(uarch : string) ~(total_cycles : float)
     ~(levels : level list) ~(symbol_of : int -> string option)
     ~(disasm_of : int -> string) ~(guard_insn : int -> bool) ?(top = 10)
     (a : acc) : string =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let n = Array.length a.sites in
-  add "{\n";
-  add "  \"schema\": \"lfi-overhead/v1\",\n";
-  add "  \"workload\": %S,\n" (esc workload);
-  add "  \"uarch\": %S,\n" (esc uarch);
-  add "  \"insns\": %d,\n" total_insns;
-  add "  \"total_cycles\": %.2f,\n" total_cycles;
+  let f2 = Json.float ~digits:2 in
   (* pure tax: cycles charged to *inserted* sites; modified sites do
      work the original program needed anyway *)
   let tax = ref 0.0 and attributed = ref 0.0 in
@@ -209,52 +188,44 @@ let report ~(workload : string) ~(uarch : string) ~(total_cycles : float)
       attributed := !attributed +. a.cycles.(i);
       if s.inserted then tax := !tax +. a.cycles.(i))
     a.sites;
-  add "  \"attributed_cycles\": %.2f,\n" !attributed;
-  add "  \"overhead_cycles\": %.2f,\n" !tax;
-  add "  \"overhead_fraction\": %.4f,\n"
-    (if total_cycles > 0.0 then !tax /. total_cycles else 0.0);
-  (match native_cycles with
-  | None -> add "  \"native_cycles\": null,\n"
-  | Some c -> add "  \"native_cycles\": %.2f,\n" c);
-  add "  \"levels\": [";
-  List.iteri
-    (fun i lv ->
-      if i > 0 then add ", ";
-      add "{\"opt\": %S, \"cycles\": %.2f" (esc lv.lv_name) lv.lv_cycles;
-      (match native_cycles with
-      | Some base when base > 0.0 ->
-          add ", \"overhead_pct\": %.2f" (pct ~base lv.lv_cycles)
-      | _ -> ());
-      add "}")
-    levels;
-  add "],\n";
+  let levels =
+    List.map
+      (fun lv ->
+        Json.Object
+          ([ ("opt", Json.String lv.lv_name); ("cycles", f2 lv.lv_cycles) ]
+          @
+          match native_cycles with
+          | Some base when base > 0.0 ->
+              [ ("overhead_pct", f2 (pct ~base lv.lv_cycles)) ]
+          | _ -> []))
+      levels
+  in
   (* per-category rollup, all categories always present in fixed order *)
-  add "  \"categories\": [\n";
-  List.iteri
-    (fun k cat ->
-      let sites = ref 0 and ins = ref 0 and ex = ref 0 and cy = ref 0.0 in
-      let tax_cy = ref 0.0 in
-      Array.iteri
-        (fun i s ->
-          if s.category = cat then begin
-            incr sites;
-            if s.inserted then begin
-              incr ins;
-              tax_cy := !tax_cy +. a.cycles.(i)
-            end;
-            ex := !ex + a.execs.(i);
-            cy := !cy +. a.cycles.(i)
-          end)
-        a.sites;
-      add
-        "    {\"category\": %S, \"sites\": %d, \"inserted_sites\": %d, \
-         \"execs\": %d, \"cycles\": %.2f, \"tax_cycles\": %.2f, \
-         \"share_pct\": %.2f}%s\n"
-        (category_name cat) !sites !ins !ex !cy !tax_cy
-        (if total_cycles > 0.0 then !cy /. total_cycles *. 100.0 else 0.0)
-        (if k < List.length all_categories - 1 then "," else ""))
-    all_categories;
-  add "  ],\n";
+  let categories =
+    List.map
+      (fun cat ->
+        let sites = ref 0 and ins = ref 0 and ex = ref 0 and cy = ref 0.0 in
+        let tax_cy = ref 0.0 in
+        Array.iteri
+          (fun i s ->
+            if s.category = cat then begin
+              incr sites;
+              if s.inserted then begin
+                incr ins;
+                tax_cy := !tax_cy +. a.cycles.(i)
+              end;
+              ex := !ex + a.execs.(i);
+              cy := !cy +. a.cycles.(i)
+            end)
+          a.sites;
+        Json.Object
+          [ ("category", String (category_name cat)); ("sites", Int !sites);
+            ("inserted_sites", Int !ins); ("execs", Int !ex);
+            ("cycles", f2 !cy); ("tax_cycles", f2 !tax_cy);
+            ( "share_pct",
+              f2 (if total_cycles > 0.0 then !cy /. total_cycles *. 100.0 else 0.0) ) ])
+      all_categories
+  in
   (* per-symbol rollup of attributed cycles *)
   let by_sym : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
   Array.iteri
@@ -284,15 +255,10 @@ let report ~(workload : string) ~(uarch : string) ~(total_cycles : float)
     Hashtbl.fold (fun name (ex, cy) l -> (name, !ex, !cy) :: l) by_sym []
     |> List.sort (fun (n1, _, c1) (n2, _, c2) ->
            match compare c2 c1 with 0 -> compare n1 n2 | c -> c)
+    |> List.map (fun (name, ex, cy) ->
+           Json.Object
+             [ ("symbol", String name); ("execs", Int ex); ("cycles", f2 cy) ])
   in
-  add "  \"symbols\": [\n";
-  List.iteri
-    (fun i (name, ex, cy) ->
-      add "    {\"symbol\": %S, \"execs\": %d, \"cycles\": %.2f}%s\n"
-        (esc name) ex cy
-        (if i < List.length syms - 1 then "," else ""))
-    syms;
-  add "  ],\n";
   (* hot sites, ranked by charged cycles *)
   let order = Array.init n (fun i -> i) in
   Array.sort
@@ -305,26 +271,17 @@ let report ~(workload : string) ~(uarch : string) ~(total_cycles : float)
     Array.to_list order
     |> List.filter (fun i -> a.execs.(i) > 0)
     |> List.filteri (fun k _ -> k < top)
+    |> List.map (fun i ->
+           let s = a.sites.(i) in
+           Json.Object
+             [ ("pc", String (Printf.sprintf "0x%x" s.pc));
+               ("category", String (category_name s.category));
+               ("inserted", Bool s.inserted);
+               ("orig_pc", String (Printf.sprintf "0x%x" s.orig_pc));
+               ("symbol", Json.option (fun sym -> Json.String sym) (symbol_of s.pc));
+               ("execs", Int a.execs.(i)); ("cycles", f2 a.cycles.(i));
+               ("insn", String (disasm_of s.pc)) ])
   in
-  add "  \"hot_sites\": [\n";
-  List.iteri
-    (fun k i ->
-      let s = a.sites.(i) in
-      add
-        "    {\"pc\": \"0x%x\", \"category\": %S, \"inserted\": %b, \
-         \"orig_pc\": \"0x%x\", \"symbol\": %s, \"execs\": %d, \
-         \"cycles\": %.2f, \"insn\": %S}%s\n"
-        s.pc
-        (category_name s.category)
-        s.inserted s.orig_pc
-        (match symbol_of s.pc with
-        | None -> "null"
-        | Some sym -> Printf.sprintf "%S" (esc sym))
-        a.execs.(i) a.cycles.(i)
-        (esc (disasm_of s.pc))
-        (if k < List.length hot - 1 then "," else ""))
-    hot;
-  add "  ],\n";
   (* reconciliation hook: executions of sites whose instruction is the
      fundamental guard pattern must equal the aggregate [Metrics]
      guard counter for the same run *)
@@ -332,6 +289,17 @@ let report ~(workload : string) ~(uarch : string) ~(total_cycles : float)
   Array.iteri
     (fun i s -> if guard_insn s.pc then guard_execs := !guard_execs + a.execs.(i))
     a.sites;
-  add "  \"guard_insn_execs\": %d\n" !guard_execs;
-  add "}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.block
+       [ ("schema", String "lfi-overhead/v1"); ("workload", String workload);
+         ("uarch", String uarch); ("insns", Int total_insns);
+         ("total_cycles", f2 total_cycles); ("attributed_cycles", f2 !attributed);
+         ("overhead_cycles", f2 !tax);
+         ( "overhead_fraction",
+           Json.float ~digits:4
+             (if total_cycles > 0.0 then !tax /. total_cycles else 0.0) );
+         ("native_cycles", Json.option f2 native_cycles);
+         ("levels", Array levels); ("categories", Json.rows categories);
+         ("symbols", Json.rows syms); ("hot_sites", Json.rows hot);
+         ("guard_insn_execs", Int !guard_execs) ])
+  ^ "\n"

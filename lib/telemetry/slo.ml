@@ -35,6 +35,13 @@ type alert = {
   a_slow : float;  (** slow-window burn rate *)
 }
 
+let alert_json (a : alert) : Json.t =
+  Object
+    [ ("export", String a.a_export); ("window", Int a.a_window);
+      ("kind", String (kind_name a.a_kind));
+      ("fast", Json.float ~digits:2 a.a_fast);
+      ("slow", Json.float ~digits:2 a.a_slow) ]
+
 (** Bad-event fraction over budget; 0 when the window is empty or the
     budget is non-positive (an un-budgeted objective cannot burn). *)
 let burn ~(bad : int) ~(total : int) ~(budget : float) : float =

@@ -8,95 +8,44 @@
     and testable.  (The [ts] field is nominally microseconds; viewers
     only use it as a linear axis, so "1 us" reads as "1 cycle".)
 
-    Events are appended as pre-rendered JSON text into a single buffer:
-    emitting an event is a few [Buffer] writes, with no intermediate
-    event objects retained.  The runtime gives every sandbox its own
-    track by using the sandbox pid as the Chrome [tid]. *)
-
-type arg =
-  | Int of int
-  | I64 of int64
-  | Str of string
-  | Float of float
+    Events are printed through {!Json} straight into a single buffer
+    as they are emitted, so no event objects are retained.  The runtime
+    gives every sandbox its own track by using the sandbox pid as the
+    Chrome [tid]. *)
 
 type t = { buf : Buffer.t; mutable events : int }
 
 let create () = { buf = Buffer.create 4096; events = 0 }
 
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let add_arg b = function
-  | Int n -> Buffer.add_string b (string_of_int n)
-  | I64 n -> Buffer.add_string b (Int64.to_string n)
-  | Float f -> Buffer.add_string b (Printf.sprintf "%.3f" f)
-  | Str s ->
-      Buffer.add_char b '"';
-      add_escaped b s;
-      Buffer.add_char b '"'
-
-let add_args b (args : (string * arg) list) =
-  Buffer.add_string b ", \"args\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_char b '"';
-      add_escaped b k;
-      Buffer.add_string b "\": ";
-      add_arg b v)
-    args;
-  Buffer.add_char b '}'
-
-let start_event t ~ph ~name ~cat ~(ts : float) ~pid ~tid =
-  let b = t.buf in
-  if t.events > 0 then Buffer.add_string b ",\n";
+let event t ~ph ~name ~cat ~(ts : float) ~pid ~tid rest =
+  if t.events > 0 then Buffer.add_string t.buf ",\n";
   t.events <- t.events + 1;
-  Buffer.add_string b (Printf.sprintf "{\"ph\": \"%c\", \"name\": \"" ph);
-  add_escaped b name;
-  Buffer.add_string b "\", \"cat\": \"";
-  add_escaped b cat;
-  Buffer.add_string b
-    (Printf.sprintf "\", \"ts\": %.3f, \"pid\": %d, \"tid\": %d" ts pid tid)
+  Json.to_buffer t.buf
+    (Object
+       ([ ("ph", Json.String ph); ("name", Json.String name); ("cat", Json.String cat);
+          ("ts", Json.Float (ts, 3)); ("pid", Json.Int pid); ("tid", Json.Int tid) ]
+       @ rest))
 
-let finish_event t = Buffer.add_char t.buf '}'
+let args = function [] -> [] | a -> [ ("args", Json.Object a) ]
 
 (** A span with a duration ([ph = "X"] complete event). *)
-let complete t ~name ~cat ~ts ~(dur : float) ~pid ~tid ~args =
-  start_event t ~ph:'X' ~name ~cat ~ts ~pid ~tid;
-  Buffer.add_string t.buf (Printf.sprintf ", \"dur\": %.3f" dur);
-  if args <> [] then add_args t.buf args;
-  finish_event t
+let complete t ~name ~cat ~ts ~(dur : float) ~pid ~tid ~args:a =
+  event t ~ph:"X" ~name ~cat ~ts ~pid ~tid (("dur", Json.Float (dur, 3)) :: args a)
 
 (** A zero-duration marker on one thread's track. *)
-let instant t ~name ~cat ~ts ~pid ~tid ~args =
-  start_event t ~ph:'i' ~name ~cat ~ts ~pid ~tid;
-  Buffer.add_string t.buf ", \"s\": \"t\"";
-  if args <> [] then add_args t.buf args;
-  finish_event t
+let instant t ~name ~cat ~ts ~pid ~tid ~args:a =
+  event t ~ph:"i" ~name ~cat ~ts ~pid ~tid (("s", Json.String "t") :: args a)
 
 (** A counter sample ([ph = "C"]): Perfetto renders one stacked-area
     track per counter name, one series per arg key. *)
-let counter t ~name ~cat ~ts ~pid ~args =
-  start_event t ~ph:'C' ~name ~cat ~ts ~pid ~tid:0;
-  add_args t.buf args;
-  finish_event t
+let counter t ~name ~cat ~ts ~pid ~args:a =
+  event t ~ph:"C" ~name ~cat ~ts ~pid ~tid:0 [ ("args", Json.Object a) ]
 
 (* Metadata events name the process and thread tracks in the viewer. *)
 
 let metadata t ~name ~pid ~tid ~value =
-  start_event t ~ph:'M' ~name ~cat:"__metadata" ~ts:0.0 ~pid ~tid;
-  add_args t.buf [ ("name", Str value) ];
-  finish_event t
+  event t ~ph:"M" ~name ~cat:"__metadata" ~ts:0.0 ~pid ~tid
+    [ ("args", Json.Object [ ("name", Json.String value) ]) ]
 
 let process_name t ~pid ~name = metadata t ~name:"process_name" ~pid ~tid:0 ~value:name
 let thread_name t ~pid ~tid ~name = metadata t ~name:"thread_name" ~pid ~tid ~value:name
