@@ -1,4 +1,4 @@
-.PHONY: all build check test bench bench-json bench-compare serve-bench serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
+.PHONY: all build check test bench bench-json bench-compare serve-bench serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove loc clean
 
 all: build
 
@@ -92,6 +92,11 @@ prove:
 FUZZ_SEED ?= $(shell date +%Y%m%d)
 fuzz:
 	dune exec bin/lfi_fuzz.exe -- all --seed $(FUZZ_SEED) --count 20000 --minic 400
+
+# Lines of OCaml in lib/, bin/ and bench/ (tracked files): the count
+# that simplicity changes cite.
+loc:
+	@cat $$(git ls-files 'lib/*.ml' 'bin/*.ml' 'bench/*.ml') | wc -l
 
 clean:
 	dune clean

@@ -25,11 +25,11 @@ let run input no_loads no_exclusives quiet =
       Printf.eprintf "%s: bad ELF: %s\n" input msg;
       exit 2
   | elf -> (
-      match Lfi_elf.Elf.text_segment elf with
-      | None ->
-          Printf.eprintf "%s: no executable segment\n" input;
+      match Lfi_elf.Elf.code_segment elf with
+      | Error msg ->
+          Printf.eprintf "%s: %s\n" input msg;
           exit 2
-      | Some seg -> (
+      | Ok seg -> (
           match
             Lfi_verifier.Verifier.verify ~config ~code:seg.Lfi_elf.Elf.data ()
           with

@@ -36,6 +36,12 @@ let code_origin = rtcall_table_size + guard_size (* 64 KiB *)
     the end of the slot). *)
 let code_limit = sandbox_size - (128 * 1024 * 1024)
 
+(** Largest total in-memory size of an image's segments the loader
+    will map: far above the largest image the toolchain emits (about
+    6.4MB, omnetpp through wasm2c), far below what would exhaust the
+    host. *)
+let max_image_size = 256 * 1024 * 1024
+
 (** Top of the stack: just below the top guard region. *)
 let stack_top = sandbox_size - guard_size
 let default_stack_size = 8 * 1024 * 1024

@@ -371,6 +371,16 @@ let find_symbol (t : t) (name : string) : int option =
 let text_segment (t : t) : segment option =
   List.find_opt (fun s -> s.flags land pf_x <> 0) t.segments
 
+(** The image's one executable segment: the code the verifier checks
+    before a load.  An image with none is rejected, and so is one with
+    several — every executable segment past the first would be mapped
+    without being verified. *)
+let code_segment (t : t) : (segment, string) result =
+  match List.filter (fun s -> s.flags land pf_x <> 0) t.segments with
+  | [ s ] -> Ok s
+  | [] -> Error "no executable segment"
+  | _ -> Error "more than one executable segment"
+
 let text_size (t : t) =
   match text_segment t with Some s -> Bytes.length s.data | None -> 0
 

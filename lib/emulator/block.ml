@@ -957,7 +957,7 @@ let build (m : Machine.t) (pci : int) : blk =
     match Memory.find_page_by_index m.mem idx with
     | None -> false
     | Some p ->
-        let pm = Memory.page_perm p in
+        let pm = p.Memory.perm in
         pm.Memory.w && pm.Memory.x
   in
   let b =

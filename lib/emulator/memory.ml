@@ -6,6 +6,12 @@
     execute permissions; unmapped or mis-permissioned accesses fault,
     which is what makes the sandbox guard regions effective.
 
+    The page table is keyed first by 4GiB {e region} (the top 32 bits
+    of an address — exactly one sandbox slot) and then by page index,
+    so everything that works on one slot's pages ({!region_pages},
+    {!place_page}) costs O(pages of that region), never O(pages mapped
+    in the whole address space).
+
     Lookups go through a direct-mapped {e translation cache}: an
     [tc_size]-entry array keyed by page index whose entries hold the
     page and its permissions precomputed as a bitmask, so the hot
@@ -18,6 +24,12 @@
 
 let page_bits = 14
 let page_size = 1 lsl page_bits (* 16 KiB *)
+
+let region_bits = 32
+let region_size = 1 lsl region_bits (* 4 GiB: one sandbox slot *)
+
+(* page index -> region index *)
+let region_shift = region_bits - page_bits
 
 type perm = { r : bool; w : bool; x : bool }
 
@@ -74,7 +86,9 @@ let dummy_page =
     dirty = false }
 
 type t = {
-  pages : (int, page) Hashtbl.t;
+  regions : (int, (int, page) Hashtbl.t) Hashtbl.t;
+      (** region index -> (page index -> page); a region's table is
+          created by its first mapping and kept after its last unmap *)
   (* direct-mapped translation cache, keyed by page index *)
   tc_idx : int array;  (** cached page index per slot; -1 = invalid *)
   tc_page : page array;  (** valid iff [tc_idx] matches *)
@@ -93,7 +107,7 @@ type t = {
 
 let create () =
   {
-    pages = Hashtbl.create 1024;
+    regions = Hashtbl.create 64;
     tc_idx = Array.make tc_size (-1);
     tc_page = Array.make tc_size dummy_page;
     tc_bits = Array.make tc_size 0;
@@ -111,6 +125,30 @@ let tc_flush m = Array.fill m.tc_idx 0 tc_size (-1)
 
 let code_changed m (addr : int64) (len : int) = m.on_code_change addr len
 
+let page_addr (idx : int) = Int64.shift_left (Int64.of_int idx) page_bits
+
+let no_pages : (int, page) Hashtbl.t = Hashtbl.create 1
+
+(* The page table of the region holding page [idx].  Lookups never
+   create one (they get [no_pages], which stays empty); mappings pass
+   [~create:true]. *)
+let region_of ?(create = false) m (idx : int) =
+  let r = idx lsr region_shift in
+  match Hashtbl.find_opt m.regions r with
+  | Some tbl -> tbl
+  | None when not create -> no_pages
+  | None ->
+      let tbl = Hashtbl.create 256 in
+      Hashtbl.replace m.regions r tbl;
+      tbl
+
+(** The page table of the region holding [addr] (page index -> page),
+    for a caller that probes many of one slot's pages and should look
+    the region up once.  Read-only: map and unmap through this module. *)
+let region m (addr : int64) = region_of m (page_index addr)
+
+let find_page_by_index m (idx : int) = Hashtbl.find_opt (region_of m idx) idx
+
 (** Map [len] bytes starting at [addr] (both page-aligned) with [perm].
     Already-mapped pages are re-protected, not cleared. *)
 let map m ~(addr : int64) ~(len : int) ~(perm : perm) =
@@ -118,10 +156,11 @@ let map m ~(addr : int64) ~(len : int) ~(perm : perm) =
   if len mod page_size <> 0 then invalid_arg "Memory.map: unaligned length";
   let first = page_index addr in
   for i = first to first + (len / page_size) - 1 do
-    match Hashtbl.find_opt m.pages i with
+    let tbl = region_of ~create:true m i in
+    match Hashtbl.find_opt tbl i with
     | Some p -> p.perm <- perm
     | None ->
-        Hashtbl.replace m.pages i
+        Hashtbl.replace tbl i
           { perm; data = Bytes.make page_size '\000'; dirty = true }
   done;
   tc_flush m;
@@ -132,12 +171,12 @@ let unmap m ~(addr : int64) ~(len : int) =
     invalid_arg "Memory.unmap: unaligned";
   let first = page_index addr in
   for i = first to first + (len / page_size) - 1 do
-    Hashtbl.remove m.pages i
+    Hashtbl.remove (region_of m i) i
   done;
   tc_flush m;
   code_changed m addr len
 
-let is_mapped m (addr : int64) = Hashtbl.mem m.pages (page_index addr)
+let is_mapped m (addr : int64) = find_page_by_index m (page_index addr) <> None
 
 (** Change the protection of every page overlapping [addr, addr+len).
     [len] is rounded up to whole pages; [len = 0] is a no-op. *)
@@ -147,7 +186,7 @@ let protect m ~(addr : int64) ~(len : int) ~(perm : perm) =
     let first = page_index addr in
     let last = page_index (Int64.add addr (Int64.of_int (len - 1))) in
     for i = first to last do
-      match Hashtbl.find_opt m.pages i with
+      match find_page_by_index m i with
       | Some p -> p.perm <- perm
       | None -> invalid_arg "Memory.protect: unmapped page"
     done;
@@ -155,15 +194,29 @@ let protect m ~(addr : int64) ~(len : int) ~(perm : perm) =
     code_changed m addr len
   end
 
-(** Re-protect a single page by index (used by fork to clone page
-    permissions); goes through the same invalidation as {!protect}. *)
-let set_page_perm m (idx : int) (perm : perm) =
-  match Hashtbl.find_opt m.pages idx with
-  | None -> invalid_arg "Memory.set_page_perm: unmapped page"
+(** Map page [idx] holding a copy of [data] (one page long) with
+    [perm], clean (dirty flag off): a fresh page, or an existing one
+    overwritten and re-protected.  One translation-cache flush and one
+    code invalidation, however the page got there — the primitive
+    behind fork's slot copy and reset's re-mapping. *)
+let place_page m (idx : int) ~(perm : perm) (data : bytes) =
+  let tbl = region_of ~create:true m idx in
+  (match Hashtbl.find_opt tbl idx with
   | Some p ->
+      Bytes.blit data 0 p.data 0 page_size;
       p.perm <- perm;
-      tc_flush m;
-      code_changed m (Int64.shift_left (Int64.of_int idx) page_bits) page_size
+      p.dirty <- false
+  | None -> Hashtbl.replace tbl idx { perm; data = Bytes.copy data; dirty = false });
+  tc_flush m;
+  code_changed m (page_addr idx) page_size
+
+(** The mapped pages of the region holding [addr], as
+    [(page index, page)] in ascending index order.  O(pages of that
+    region): the slot walk behind baseline capture, fork, release and
+    the crash report's layout. *)
+let region_pages m (addr : int64) : (int * page) list =
+  List.of_seq (Hashtbl.to_seq (region m addr))
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 (* The translation-cache lookup: one array probe + one bit test on a
    hit; misses fill the slot from the page table.  The page index is
@@ -186,7 +239,7 @@ let[@inline] get_page m (addr : int64) (access : access) : page =
   end
   else begin
     m.tc_misses <- m.tc_misses + 1;
-    match Hashtbl.find_opt m.pages idx with
+    match find_page_by_index m idx with
     | None -> fault addr access "unmapped"
     | Some p ->
         m.tc_idx.(slot) <- idx;
@@ -277,28 +330,3 @@ let write_bytes m (addr : int64) (b : bytes) =
 let read_bytes m (addr : int64) (len : int) : bytes =
   Bytes.init len (fun i ->
       Char.chr (read_u8 m (Int64.add addr (Int64.of_int i))))
-
-(** Copy [len] bytes between two mapped regions (used by fork). *)
-let copy m ~src ~dst ~len =
-  for i = 0 to len - 1 do
-    let o = Int64.of_int i in
-    write_u8 m (Int64.add dst o) (read_u8 m (Int64.add src o))
-  done
-
-(** List of mapped page indices (ascending); used by fork to copy a
-    sandbox without touching unmapped guard regions. *)
-let mapped_pages m =
-  Hashtbl.fold (fun idx p acc -> (idx, p) :: acc) m.pages []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let page_data (p : page) = p.data
-let page_perm (p : page) = p.perm
-let page_dirty (p : page) = p.dirty
-let page_clear_dirty (p : page) = p.dirty <- false
-
-(** Find a mapped page by index (used by fork's bulk copy). *)
-let find_page_by_index m (idx : int) = Hashtbl.find_opt m.pages idx
-
-(** Unordered iteration over mapped pages, for order-insensitive scans
-    that should not pay {!mapped_pages}' sort and list allocation. *)
-let iter_pages m (f : int -> page -> unit) = Hashtbl.iter f m.pages

@@ -52,8 +52,8 @@ let load ?(stack_size = 1 lsl 20) ~(base : int64) (elf : Lfi_elf.Elf.t) : t =
   let module Runtime = Lfi_runtime.Runtime in
   let mem = Memory.create () in
   let machine = Machine.create mem in
-  Runtime.install_rtcall_table mem base;
   ignore (Runtime.map_image mem base ~stack_size elf);
+  Runtime.install_rtcall_table mem base;
   Machine.restore machine
     (Runtime.initial_snapshot base ~entry:elf.Lfi_elf.Elf.entry ~arg:0L);
   let data_origin =

@@ -49,23 +49,17 @@ type t = {
 }
 
 let page = Memory.page_size
-let pages_per_slot = Lfi_core.Layout.sandbox_size / page
-let align_page v = (v + page - 1) / page * page
-let slot_first (p : Proc.t) = Memory.page_index p.Proc.base
-let addr_of_idx idx = Int64.shift_left (Int64.of_int idx) Memory.page_bits
 
 (** Snapshot the slot's current memory as the reset baseline and clear
     the dirty flags, so [reset] touches only pages written since. *)
 let capture_baseline (inst : t) =
   Hashtbl.reset inst.pristine;
-  let first = slot_first inst.p in
-  Memory.iter_pages inst.rt.Runtime.mem (fun idx pg ->
-      if idx >= first && idx < first + pages_per_slot then begin
-        Hashtbl.replace inst.pristine idx
-          { pg_bytes = Bytes.copy (Memory.page_data pg);
-            pg_perm = Memory.page_perm pg };
-        Memory.page_clear_dirty pg
-      end);
+  List.iter
+    (fun (idx, pg) ->
+      Hashtbl.replace inst.pristine idx
+        { pg_bytes = Bytes.copy pg.Memory.data; pg_perm = pg.Memory.perm };
+      pg.Memory.dirty <- false)
+    (Memory.region_pages inst.rt.Runtime.mem inst.p.Proc.base);
   inst.heap_end0 <- inst.p.Proc.heap_end;
   inst.baseline <- inst.p.Proc.snapshot
 
@@ -76,34 +70,28 @@ let capture_baseline (inst : t) =
     break, and rebuild the std fd table.
 
     Cost is O(pages of this slot), never O(pages of the runtime): the
-    baseline pages are walked through [pristine], and any page the
-    request mapped beyond the baseline must sit in
-    [heap_end0, heap_end) because both [mmap] and [brk] bump-allocate
-    at the break — so with hundreds of resident instances a reset
-    still touches only its own slot. *)
+    slot's page table is looked up once, the baseline pages are walked
+    through [pristine], and any page the request mapped beyond the
+    baseline must sit in [heap_end0, heap_end) because both [mmap] and
+    [brk] bump-allocate at the break — so with hundreds of resident
+    instances a reset still touches only its own slot. *)
 let reset (inst : t) =
   let mem = inst.rt.Runtime.mem in
+  let region = Memory.region mem inst.p.Proc.base in
   let restored = ref 0 in
-  (* baseline pages: restore if dirtied, re-protect if mprotected,
-     bring back if the request unmapped them *)
+  (* baseline pages: restore if dirtied; put back whole if the request
+     unmapped or re-protected them *)
   Hashtbl.iter
     (fun idx pr ->
-      match Memory.find_page_by_index mem idx with
-      | Some pg ->
-          if Memory.page_dirty pg then begin
-            Bytes.blit pr.pg_bytes 0 (Memory.page_data pg) 0 page;
-            Memory.page_clear_dirty pg;
+      match Hashtbl.find_opt region idx with
+      | Some pg when pg.Memory.perm = pr.pg_perm ->
+          if pg.Memory.dirty then begin
+            Bytes.blit pr.pg_bytes 0 pg.Memory.data 0 page;
+            pg.Memory.dirty <- false;
             incr restored
-          end;
-          if Memory.page_perm pg <> pr.pg_perm then
-            Memory.set_page_perm mem idx pr.pg_perm
-      | None ->
-          Memory.map mem ~addr:(addr_of_idx idx) ~len:page ~perm:pr.pg_perm;
-          (match Memory.find_page_by_index mem idx with
-          | Some pg ->
-              Bytes.blit pr.pg_bytes 0 (Memory.page_data pg) 0 page;
-              Memory.page_clear_dirty pg
-          | None -> assert false);
+          end
+      | _ ->
+          Memory.place_page mem idx ~perm:pr.pg_perm pr.pg_bytes;
           incr restored)
     inst.pristine;
   (* pages the request mapped (mmap/brk allocate at the break, so they
@@ -114,9 +102,8 @@ let reset (inst : t) =
       (Int64.add inst.p.Proc.heap_end (Int64.of_int (page - 1)))
   in
   for idx = lo to hi - 1 do
-    if not (Hashtbl.mem inst.pristine idx)
-       && Memory.find_page_by_index mem idx <> None
-    then Memory.unmap mem ~addr:(addr_of_idx idx) ~len:page
+    if not (Hashtbl.mem inst.pristine idx) && Hashtbl.mem region idx then
+      Memory.unmap mem ~addr:(Memory.page_addr idx) ~len:page
   done;
   inst.pages_restored <- inst.pages_restored + !restored;
   inst.p.Proc.heap_end <- inst.heap_end0;
@@ -298,16 +285,9 @@ let call (inst : t) (name : string) (args : Api.arg list) :
                         | Runtime.Died (Runtime.Killed why) ->
                             Error (kill inst why)
                       end
-                  | Exec.Trap (Exec.Svc_trap _) ->
-                      Error (kill inst "svc from sandboxed code")
-                  | Exec.Trap (Exec.Mem_fault f) ->
-                      Error
-                        (kill inst ~fault:f
-                           (Format.asprintf "%a" Memory.pp_fault f))
-                  | Exec.Trap (Exec.Undefined pc) ->
-                      Error
-                        (kill inst
-                           (Printf.sprintf "undefined instruction at 0x%Lx" pc))
+                  | Exec.Trap tr ->
+                      let fault, why = Runtime.trap_kill tr in
+                      Error (kill inst ?fault why)
               in
               let insns_of () = m.Machine.insns - i0 in
               match drive () with
@@ -371,7 +351,7 @@ let call (inst : t) (name : string) (args : Api.arg list) :
 let create ?(arena = 1 lsl 16) ?(insn_budget = 200_000_000) ?init
     (rt : Runtime.t) (lib : Library.t) : t =
   let p = Runtime.load rt ~personality:Proc.Lfi lib.Library.elf in
-  let arena_len = align_page (max arena 1) in
+  let arena_len = Runtime.align_up (max arena 1) in
   let arena_base = p.Proc.heap_end in
   Memory.map rt.Runtime.mem ~addr:arena_base ~len:arena_len
     ~perm:Memory.perm_rw;

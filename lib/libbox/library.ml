@@ -54,9 +54,9 @@ let create ?(config = Lfi_core.Config.o2) ~(name : string)
       sandbox_loads = config.Lfi_core.Config.sandbox_loads;
       allow_exclusives = config.Lfi_core.Config.allow_exclusives }
   in
-  (match Lfi_elf.Elf.text_segment elf with
-  | None -> raise (Error (name ^ ": no executable segment"))
-  | Some seg -> (
+  (match Lfi_elf.Elf.code_segment elf with
+  | Error msg -> raise (Error (name ^ ": " ^ msg))
+  | Ok seg -> (
       match
         Lfi_verifier.Verifier.verify ~config:vconfig
           ~origin:seg.Lfi_elf.Elf.vaddr ~code:seg.Lfi_elf.Elf.data ()

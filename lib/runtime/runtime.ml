@@ -197,6 +197,10 @@ let overhead_acc rt = rt.machine.Machine.overhead
 
 let page = Memory.page_size
 
+(* The memory system's regions are the sandbox slots: a slot's pages
+   are exactly one region's ({!Memory.region_pages}). *)
+let () = assert (Memory.region_size = Lfi_core.Layout.sandbox_size)
+
 let align_down v = v / page * page
 let align_up v = (v + page - 1) / page * page
 
@@ -284,21 +288,52 @@ let initial_snapshot (base : int64) ~(entry : int) ~(arg : int64) :
       s_vhi = Array.make 32 0L;
     }
 
-(** Map [elf]'s segments into the slot at [base] (memsz mapped, filesz
-    copied, executable segments then made RX) and the stack below the
-    top guard region; returns the end of the highest segment.  Shared
-    by {!load} and the fuzzer's bare-machine loader. *)
+(** Check [elf]'s segments against the slot layout, all of them before
+    any is mapped: each lies in [\[code_origin, stack_top - stack_size)]
+    (clear of the call table, the guards, the stack and every other
+    slot), executable ones end below [code_limit], [filesz <= memsz],
+    no two share a page, and their total [memsz] is at most
+    {!Lfi_core.Layout.max_image_size}.  Raises {!Load_error}. *)
+let validate_image ~(stack_size : int) (elf : Lfi_elf.Elf.t) =
+  let fail msg = raise (Load_error msg) in
+  let lo = Lfi_core.Layout.code_origin
+  and hi = Lfi_core.Layout.stack_top - stack_size in
+  let total =
+    List.fold_left
+      (fun total (s : Lfi_elf.Elf.segment) ->
+        if Bytes.length s.data > s.memsz then fail "segment filesz exceeds memsz";
+        if s.vaddr < lo then fail "segment below code origin";
+        if s.memsz > hi - s.vaddr then fail "segment reaches past the image area";
+        if s.flags land Lfi_elf.Elf.pf_x <> 0
+           && s.vaddr + s.memsz > Lfi_core.Layout.code_limit
+        then fail "executable segment in the top 128MiB";
+        total + s.memsz)
+      0 elf.Lfi_elf.Elf.segments
+  in
+  if total > Lfi_core.Layout.max_image_size then fail "image too large";
+  elf.Lfi_elf.Elf.segments
+  |> List.map (fun (s : Lfi_elf.Elf.segment) ->
+         (align_down s.vaddr, align_up (s.vaddr + s.memsz)))
+  |> List.sort compare
+  |> List.fold_left
+       (fun prev_hi (lo, hi) ->
+         if lo < prev_hi then fail "segments share a page";
+         hi)
+       0
+  |> ignore
+
+(** Validate [elf] ({!validate_image}), then map its segments into the
+    slot at [base] (memsz mapped, filesz copied, executable segments
+    then made RX) and the stack below the top guard region; returns the
+    end of the highest segment.  Shared by {!load} and the fuzzer's
+    bare-machine loader. *)
 let map_image mem (base : int64) ~(stack_size : int) (elf : Lfi_elf.Elf.t) :
     int =
+  validate_image ~stack_size elf;
   let data_end = ref Lfi_core.Layout.code_origin in
   List.iter
     (fun (s : Lfi_elf.Elf.segment) ->
       let len = s.Lfi_elf.Elf.memsz in
-      if s.vaddr < Lfi_core.Layout.code_origin then
-        raise (Load_error "segment below code origin");
-      if s.flags land Lfi_elf.Elf.pf_x <> 0
-         && s.vaddr + len > Lfi_core.Layout.code_limit
-      then raise (Load_error "executable segment in the top 128MiB");
       (* map memsz (the BSS tail is zero pages), copy filesz *)
       map_range mem base ~off:s.vaddr ~len ~perm:Memory.perm_rw;
       Memory.write_bytes mem (Int64.add base (Int64.of_int s.vaddr)) s.data;
@@ -314,6 +349,29 @@ let map_image mem (base : int64) ~(stack_size : int) (elf : Lfi_elf.Elf.t) :
     ~len:stack_size ~perm:Memory.perm_rw;
   !data_end
 
+(** Create a runnable process in [slot], register it with the
+    scheduler and name its trace track.  Shared by {!load} and fork. *)
+let add_proc rt ~slot ~base ~personality ~snapshot ~heap_end ~parent ~symbols
+    ~sites : Proc.t =
+  let pid = rt.next_pid in
+  rt.next_pid <- pid + 1;
+  let p =
+    { Proc.pid; slot; base; personality; state = Proc.Runnable; snapshot;
+      fds = Hashtbl.create 8; next_fd = 3; heap_end; parent; children = [];
+      stdout = Buffer.create 256; user_insns = 0; rtcalls = 0; symbols;
+      sites; flight = Lfi_telemetry.Flight.create () }
+  in
+  Hashtbl.replace rt.procs pid p;
+  Lfi_sched.Runq.push rt.runq pid;
+  (match rt.trace with
+  | None -> ()
+  | Some t ->
+      Lfi_telemetry.Trace.thread_name t ~pid:trace_pid ~tid:pid
+        ~name:
+          (Printf.sprintf "sandbox %d (%s)" pid
+             (Proc.personality_name personality)));
+  p
+
 (** Load an ELF image into a fresh slot and create the process.
     Sandboxed programs ([`Lfi]) are statically verified first; native
     personalities run unsandboxed in slot 0 (base address 0), where
@@ -325,9 +383,9 @@ let load rt ?(arg = 0L) ~(personality : Proc.personality)
     raise (Load_error "only one native process is supported (slot 0)");
   (* Verification: the trust boundary of the whole system. *)
   if rt.cfg.verify && not native then begin
-    match Lfi_elf.Elf.text_segment elf with
-    | None -> raise (Load_error "no executable segment")
-    | Some seg -> (
+    match Lfi_elf.Elf.code_segment elf with
+    | Error msg -> raise (Load_error msg)
+    | Ok seg -> (
         match
           Lfi_verifier.Verifier.verify ~config:rt.cfg.verifier_config
             ~origin:seg.Lfi_elf.Elf.vaddr ~code:seg.Lfi_elf.Elf.data ()
@@ -342,46 +400,19 @@ let load rt ?(arg = 0L) ~(personality : Proc.personality)
   end;
   let slot = if native then 0 else alloc_slot rt in
   let base = Lfi_core.Layout.slot_base slot in
-  if not native then install_rtcall_table rt.mem base;
   let data_end = map_image rt.mem base ~stack_size:rt.cfg.stack_size elf in
-  let pid = rt.next_pid in
-  rt.next_pid <- pid + 1;
+  if not native then install_rtcall_table rt.mem base;
   if native then rt.native_loaded <- true;
   let p =
-    {
-      Proc.pid;
-      slot;
-      base;
-      personality;
-      state = Proc.Runnable;
-      snapshot = initial_snapshot base ~entry:elf.Lfi_elf.Elf.entry ~arg;
-      fds = Hashtbl.create 8;
-      next_fd = 3;
-      heap_end = Int64.add base (Int64.of_int (align_up data_end));
-      parent = None;
-      children = [];
-      stdout = Buffer.create 256;
-      user_insns = 0;
-      rtcalls = 0;
-      symbols = Lfi_telemetry.Profile.sym_table elf.Lfi_elf.Elf.symbols;
-      sites = elf.Lfi_elf.Elf.sites;
-      flight = Lfi_telemetry.Flight.create ();
-    }
+    add_proc rt ~slot ~base ~personality
+      ~snapshot:(initial_snapshot base ~entry:elf.Lfi_elf.Elf.entry ~arg)
+      ~heap_end:(Int64.add base (Int64.of_int (align_up data_end)))
+      ~parent:None
+      ~symbols:(Lfi_telemetry.Profile.sym_table elf.Lfi_elf.Elf.symbols)
+      ~sites:elf.Lfi_elf.Elf.sites
   in
   Proc.install_std_fds p;
-  Hashtbl.replace rt.procs pid p;
-  Lfi_sched.Runq.push rt.runq pid;
-  (match rt.trace with
-  | None -> ()
-  | Some t ->
-      Lfi_telemetry.Trace.thread_name t ~pid:trace_pid ~tid:pid
-        ~name:
-          (Printf.sprintf "sandbox %d (%s)" pid
-             (Proc.personality_name personality)));
   p
-
-let load_image rt ?arg ~personality (img : Lfi_arm64.Assemble.image) =
-  load rt ?arg ~personality (Lfi_elf.Elf.of_image img)
 
 (* ------------------------------------------------------------------ *)
 (* Runtime-call helpers                                                *)
@@ -456,65 +487,34 @@ let do_fork rt (parent : Proc.t) : int =
     let slot = alloc_slot rt in
     let base = Lfi_core.Layout.slot_base slot in
     install_rtcall_table rt.mem base;
-    (* Copy every mapped page of the parent slot (eager copy; the paper
-       also describes copy-on-write via memfd, which we do not model). *)
-    let parent_first = Int64.to_int (Int64.shift_right_logical parent.Proc.base Memory.page_bits) in
-    let pages_per_slot = Lfi_core.Layout.sandbox_size / page in
+    (* Copy every mapped page of the parent slot but the call table,
+       freshly built above (eager copy; the paper also describes
+       copy-on-write via memfd, which we do not model). *)
+    let table = Memory.page_index parent.Proc.base
+    and shift = Memory.page_index base - Memory.page_index parent.Proc.base in
     List.iter
       (fun (idx, pg) ->
-        if idx >= parent_first && idx < parent_first + pages_per_slot
-           && idx > parent_first (* skip the call table page; freshly built *)
-        then begin
-          let off = (idx - parent_first) * page in
-          let child_addr = Int64.add base (Int64.of_int off) in
-          Memory.map rt.mem ~addr:child_addr ~len:page ~perm:Memory.perm_rw;
-          let child_idx =
-            Int64.to_int (Int64.shift_right_logical child_addr Memory.page_bits)
-          in
-          (match Memory.find_page_by_index rt.mem child_idx with
-          | Some cp ->
-              Bytes.blit (Memory.page_data pg) 0 (Memory.page_data cp) 0 page;
-              Memory.set_page_perm rt.mem child_idx (Memory.page_perm pg)
-          | None -> assert false)
-        end)
-      (Memory.mapped_pages rt.mem);
+        if idx <> table then
+          Memory.place_page rt.mem (idx + shift) ~perm:pg.Memory.perm
+            pg.Memory.data)
+      (Memory.region_pages rt.mem parent.Proc.base);
     (* Child registers: parent's current state anchored to the child
        slot; everything non-reserved heals via guards. *)
     let snap = Machine.snapshot rt.machine in
     snap.Machine.s_regs.(0) <- 0L (* fork returns 0 in the child *);
-    let child_snap = anchor_snapshot base snap in
-    let pid = rt.next_pid in
-    rt.next_pid <- pid + 1;
     let child =
-      {
-        Proc.pid;
-        slot;
-        base;
-        personality = Proc.Lfi;
-        state = Proc.Runnable;
-        snapshot = child_snap;
-        fds = Hashtbl.create 8;
-        next_fd = 3;
-        heap_end = rebase base parent.Proc.heap_end;
-        parent = Some parent.Proc.pid;
-        children = [];
-        stdout = Buffer.create 256;
-        user_insns = 0;
-        rtcalls = 0;
-        symbols = parent.Proc.symbols;
-        sites = parent.Proc.sites;
-        flight = Lfi_telemetry.Flight.create ();
-      }
+      add_proc rt ~slot ~base ~personality:Proc.Lfi
+        ~snapshot:(anchor_snapshot base snap)
+        ~heap_end:(rebase base parent.Proc.heap_end)
+        ~parent:(Some parent.Proc.pid) ~symbols:parent.Proc.symbols
+        ~sites:parent.Proc.sites
     in
+    let pid = child.Proc.pid in
     Proc.dup_fds parent child;
     parent.Proc.children <- pid :: parent.Proc.children;
-    Hashtbl.replace rt.procs pid child;
-    Lfi_sched.Runq.push rt.runq pid;
     (match rt.trace with
     | None -> ()
     | Some t ->
-        Lfi_telemetry.Trace.thread_name t ~pid:trace_pid ~tid:pid
-          ~name:(Printf.sprintf "sandbox %d (lfi)" pid);
         Lfi_telemetry.Trace.instant t ~name:"fork" ~cat:"proc"
           ~ts:(Machine.cycles rt.machine) ~pid:trace_pid
           ~tid:parent.Proc.pid
@@ -537,15 +537,9 @@ let find_zombie_child rt (p : Proc.t) : (int * int) option =
 
 let release_slot rt (child : Proc.t) =
   (* unmap the whole slot and recycle it *)
-  let first = Int64.to_int (Int64.shift_right_logical child.Proc.base Memory.page_bits) in
-  let pages_per_slot = Lfi_core.Layout.sandbox_size / page in
   List.iter
-    (fun (idx, _) ->
-      if idx >= first && idx < first + pages_per_slot then
-        Memory.unmap rt.mem
-          ~addr:(Int64.shift_left (Int64.of_int idx) Memory.page_bits)
-          ~len:page)
-    (Memory.mapped_pages rt.mem);
+    (fun (idx, _) -> Memory.unmap rt.mem ~addr:(Memory.page_addr idx) ~len:page)
+    (Memory.region_pages rt.mem child.Proc.base);
   if child.Proc.slot <> 0 then
     rt.free_slots <- child.Proc.slot :: rt.free_slots;
   (* the clamp audit outlives the process table entry *)
@@ -913,18 +907,18 @@ let hexdump_around rt (addr : int64) : Lfi_telemetry.Postmortem.hex_row list =
 let fault_pages rt (p : Proc.t) (addr : int64) :
     Lfi_telemetry.Postmortem.page_info list =
   let idx = Memory.page_index addr in
-  let lo_idx = Memory.page_index p.Proc.base in
-  let hi_idx = lo_idx + (Lfi_core.Layout.sandbox_size / Memory.page_size) in
   List.filter_map
     (fun d ->
       let i = idx + d in
-      if i < 0 || (p.Proc.personality = Proc.Lfi && (i < lo_idx || i >= hi_idx))
+      let pg_addr = Memory.page_addr i in
+      if i < 0
+         || (p.Proc.personality = Proc.Lfi
+            && not (Int64.equal (rebase p.Proc.base pg_addr) pg_addr))
       then None
       else
-        let pg_addr = Int64.shift_left (Int64.of_int i) Memory.page_bits in
         let pg_perm =
           match Memory.find_page_by_index rt.mem i with
-          | Some pg -> perm_string (Memory.page_perm pg)
+          | Some pg -> perm_string pg.Memory.perm
           | None -> "---"
         in
         Some { Lfi_telemetry.Postmortem.pg_addr; pg_perm })
@@ -934,16 +928,10 @@ let fault_pages rt (p : Proc.t) (addr : int64) :
     heuristic labels from {!Lfi_core.Layout}. *)
 let sandbox_layout rt (p : Proc.t) : Lfi_telemetry.Postmortem.region list =
   let first = Memory.page_index p.Proc.base in
-  let count = Lfi_core.Layout.sandbox_size / Memory.page_size in
   let pages =
-    Memory.mapped_pages rt.mem
-    |> List.filter_map (fun (idx, pg) ->
-           if idx >= first && idx < first + count then
-             Some (idx, perm_string (Memory.page_perm pg))
-           else None)
-    |> List.sort compare
+    Memory.region_pages rt.mem p.Proc.base
+    |> List.map (fun (idx, pg) -> (idx, perm_string pg.Memory.perm))
   in
-  let addr_of_idx i = Int64.shift_left (Int64.of_int i) Memory.page_bits in
   let label lo_off perm =
     if lo_off = 0 && p.Proc.personality = Proc.Lfi then "rtcall table"
     else if String.contains perm 'x' then "code"
@@ -962,8 +950,8 @@ let sandbox_layout rt (p : Proc.t) : Lfi_telemetry.Postmortem.region list =
         let lo_off = (idx - first) * Memory.page_size in
         let r =
           {
-            Lfi_telemetry.Postmortem.rg_lo = addr_of_idx idx;
-            rg_hi = addr_of_idx (last + 1);
+            Lfi_telemetry.Postmortem.rg_lo = Memory.page_addr idx;
+            rg_hi = Memory.page_addr (last + 1);
             rg_perm = perm;
             rg_label = label lo_off perm;
           }
@@ -1029,6 +1017,15 @@ let postmortems rt = rt.postmortems
 (** The report of one killed sandbox, if it was killed. *)
 let postmortem_for rt (pid : int) : Lfi_telemetry.Postmortem.t option =
   List.assoc_opt pid rt.postmortems
+
+(** The fault (for memory faults) and kill reason a trap carries into
+    the exit log and the postmortem — one wording for the scheduler and
+    for libbox calls. *)
+let trap_kill : Exec.trap -> Memory.fault option * string = function
+  | Exec.Svc_trap _ -> (None, "svc from sandboxed code")
+  | Exec.Mem_fault f -> (Some f, Format.asprintf "%a" Memory.pp_fault f)
+  | Exec.Undefined pc ->
+      (None, Printf.sprintf "undefined instruction at 0x%Lx" pc)
 
 (** Kill [p]: assemble its crash report while the machine still holds
     its register state, close its descriptors, and record the exit.
@@ -1128,20 +1125,13 @@ let run rt : (int * exit_reason) list =
         (* return address: blr x30 left it in x30 *)
         m.Machine.pc <- m.Machine.regs.(30);
         run_call p k ~finish
-    | Exec.Trap (Exec.Svc_trap k) ->
-        if p.Proc.personality = Proc.Lfi then begin
-          (* a verified binary can never reach here *)
-          p.Proc.snapshot <- Machine.snapshot m;
-          finish ();
-          kill p "svc from sandboxed code"
-        end
-        else run_call p k ~finish
-    | Exec.Trap (Exec.Mem_fault f) ->
+    | Exec.Trap (Exec.Svc_trap k) when p.Proc.personality <> Proc.Lfi ->
+        run_call p k ~finish
+    | Exec.Trap tr ->
+        (* a verified binary can never reach an svc *)
         finish ();
-        kill p ~fault:f (Format.asprintf "%a" Memory.pp_fault f)
-    | Exec.Trap (Exec.Undefined pc) ->
-        finish ();
-        kill p (Printf.sprintf "undefined instruction at 0x%Lx" pc)
+        let fault, reason = trap_kill tr in
+        kill ?fault p reason
   and run_call (p : Proc.t) (k : int) ~finish =
     let t0 = Machine.cycles m in
     (match m.Machine.flight with

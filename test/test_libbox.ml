@@ -256,6 +256,39 @@ let test_crash_containment () =
   let _, r = Pool.dispatch pool "poke" [ Api.I scratch ] in
   checki "and keeps serving" 0 (Int64.to_int (ret_of r))
 
+(* Killing one instance releases exactly its slot: afterwards the
+   dead slot's region holds no page, every other instance's region
+   keeps its page count and bytes, and a respawn reuses the slot. *)
+let test_kill_releases_only_its_slot () =
+  let pool = Pool.create ~size:3 ~init:"init" (Lazy.force xz_lib) in
+  let mem = pool.Pool.rt.Runtime.mem in
+  let region (inst : Instance.t) =
+    Lfi_emulator.Memory.region_pages mem inst.Instance.p.Proc.base
+    |> List.map (fun (idx, pg) ->
+           (idx, Bytes.copy pg.Lfi_emulator.Memory.data))
+  in
+  let others =
+    [ pool.Pool.instances.(0); pool.Pool.instances.(2) ]
+  in
+  let before = List.map region others in
+  let victim = pool.Pool.instances.(1) in
+  let slot = victim.Instance.p.Proc.slot in
+  checkb "victim slot mapped" true (region victim <> []);
+  ignore (Instance.kill victim "test kill");
+  checki "dead slot has no page" 0 (List.length (region victim));
+  List.iter2
+    (fun b inst ->
+      let a = region inst in
+      checki "neighbour page count" (List.length b) (List.length a);
+      checkb "neighbour bytes" true
+        (List.for_all2
+           (fun (i, x) (j, y) -> i = j && Bytes.equal x y)
+           b a))
+    before others;
+  let inst = Pool.respawn pool in
+  checki "respawn reuses the slot" slot inst.Instance.p.Proc.slot;
+  checkb "respawned slot mapped" true (region inst <> [])
+
 let test_runaway_budget () =
   let rt = make_rt () in
   (* no init: the budget must bound the request call, not instance
@@ -633,6 +666,7 @@ let () =
           mk "request isolation" test_pool_isolation;
           mk "round robin" test_pool_round_robin;
           mk "crash containment" test_crash_containment;
+          mk "kill releases only its slot" test_kill_releases_only_its_slot;
           mk "runaway budget" test_runaway_budget;
           mk "budget parity across dispatch modes"
             test_runaway_budget_mode_parity;

@@ -210,6 +210,31 @@ let test_postmortem_golden_json () =
     (contains (Lfi_telemetry.Postmortem.to_text a) "fault")
     true
 
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let write_file path (s : string) =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* Pin both renderings of the crash report byte for byte, so a change
+   in how the runtime walks a slot's pages (the layout and fault-page
+   sections) shows up as a diff.  On a mismatch the new renderings are
+   left next to the goldens as postmortem_golden.actual.{json,txt};
+   regenerate from those only when the report is meant to change. *)
+let test_postmortem_pinned () =
+  let pm = crash_run () in
+  let json = Lfi_telemetry.Postmortem.to_json pm
+  and text = Lfi_telemetry.Postmortem.to_text pm in
+  write_file "postmortem_golden.actual.json" json;
+  write_file "postmortem_golden.actual.txt" text;
+  checks "JSON matches the golden" (read_file "postmortem_golden.json") json;
+  checks "text matches the golden" (read_file "postmortem_golden.txt") text
+
 let test_postmortem_mode_parity () =
   (* superblock dispatch replicates the flight recorder's per-insn
      events inside lowered closures, so the full crash report — flight
@@ -280,6 +305,7 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_postmortem_structure;
           Alcotest.test_case "golden json" `Quick test_postmortem_golden_json;
+          Alcotest.test_case "pinned golden" `Quick test_postmortem_pinned;
           Alcotest.test_case "block vs step parity" `Quick
             test_postmortem_mode_parity;
         ] );

@@ -62,6 +62,92 @@ let test_load_rejects_unverified () =
   | exception Lfi_runtime.Runtime.Load_error _ -> ()
   | _ -> Alcotest.fail "unverified binary loaded"
 
+(* The loader checks the whole image before mapping a page.  mcf at O2
+   is the carrier: a verified image that gains one extra segment. *)
+let mcf_o2 () =
+  let w =
+    match Lfi_workloads.Registry.find "mcf" with
+    | Some w -> w
+    | None -> Alcotest.fail "mcf workload not registered"
+  in
+  let src = Lfi_minic.Compile.compile w.Lfi_workloads.Common.program in
+  Lfi_elf.Elf.of_image
+    (Assemble.assemble
+       (fst (Lfi_core.Rewriter.rewrite ~config:Lfi_core.Config.o2 src)))
+
+let with_segment (elf : Lfi_elf.Elf.t) seg =
+  { elf with Lfi_elf.Elf.segments = elf.Lfi_elf.Elf.segments @ [ seg ] }
+
+let code_of elf =
+  match Lfi_elf.Elf.code_segment elf with
+  | Ok s -> s
+  | Error msg -> Alcotest.fail msg
+
+let expect_load_error rt elf =
+  match Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf with
+  | exception Lfi_runtime.Runtime.Load_error _ -> ()
+  | _ -> Alcotest.fail "image loaded"
+
+let slot_pages rt slot =
+  Lfi_emulator.Memory.region_pages rt.Lfi_runtime.Runtime.mem
+    (Lfi_core.Layout.slot_base slot)
+
+let test_load_rejects_second_code_segment () =
+  (* a second executable segment holding [svc #0] would be mapped
+     without ever being verified *)
+  let svc = Bytes.create 4 in
+  Bytes.set_int32_le svc 0 0xd4000001l;
+  let elf =
+    with_segment (mcf_o2 ())
+      { Lfi_elf.Elf.vaddr = 0x4000000;
+        flags = Lfi_elf.Elf.pf_r lor Lfi_elf.Elf.pf_x;
+        data = svc; memsz = 4 }
+  in
+  checkb "two code segments rejected" true
+    (Result.is_error (Lfi_elf.Elf.code_segment elf));
+  let rt = Lfi_runtime.Runtime.create () in
+  expect_load_error rt elf;
+  checki "nothing mapped" 0 (List.length (slot_pages rt 1))
+
+let test_load_rejects_cross_slot_segment () =
+  (* with slot 1 free, an extra data segment one slot up would land on
+     the code of the sandbox in slot 2 *)
+  let module Memory = Lfi_emulator.Memory in
+  let elf = mcf_o2 () in
+  let text = code_of elf in
+  let rt = Lfi_runtime.Runtime.create () in
+  let first = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
+  let victim = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
+  Lfi_runtime.Runtime.remove_proc rt first;
+  let mem = rt.Lfi_runtime.Runtime.mem in
+  let code = Int64.add victim.Lfi_runtime.Proc.base (Int64.of_int text.vaddr) in
+  let word = Memory.read mem code 4 in
+  expect_load_error rt
+    (with_segment elf
+       { Lfi_elf.Elf.vaddr = Lfi_core.Layout.sandbox_size + text.vaddr;
+         flags = Lfi_elf.Elf.pf_r lor Lfi_elf.Elf.pf_w;
+         data = Bytes.make 4 '\xaa'; memsz = 4 });
+  checkb "victim code unchanged" true (Int64.equal word (Memory.read mem code 4));
+  checkb "victim code still r-x" true
+    (match Memory.find_page_by_index mem (Memory.page_index code) with
+    | Some pg -> pg.Memory.perm = Memory.perm_rx
+    | None -> false)
+
+let test_load_rejects_huge_memsz () =
+  (* validation runs before any mapping, so neither size touches host
+     memory: one segment far past the slot, one inside it but over the
+     image bound *)
+  let elf = mcf_o2 () in
+  List.iter
+    (fun memsz ->
+      let rt = Lfi_runtime.Runtime.create () in
+      expect_load_error rt
+        (with_segment elf
+           { Lfi_elf.Elf.vaddr = 0x8000000; flags = Lfi_elf.Elf.pf_r;
+             data = Bytes.empty; memsz });
+      checki "nothing mapped" 0 (List.length (slot_pages rt 1)))
+    [ 1 lsl 40; Lfi_core.Layout.max_image_size ]
+
 let test_native_skips_verification () =
   let rt = Lfi_runtime.Runtime.create () in
   let p =
@@ -185,7 +271,44 @@ let test_fork_isolation () =
      0\nstatus:\n\t.quad 0\n"
   in
   (* parent: own cell (5) << 8 | child status (6) = 0x506 *)
-  checki "isolation" 0x506 (exit_code (run_lfi code))
+  checki "isolation" 0x506 (exit_code (run_lfi code));
+  (* the slot copy itself: fork a freshly loaded parent and compare
+     the two regions page by page *)
+  let module Memory = Lfi_emulator.Memory in
+  let rt = Lfi_runtime.Runtime.create () in
+  let parent =
+    Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi (build code)
+  in
+  let child =
+    match
+      Lfi_runtime.Runtime.proc rt (Lfi_runtime.Runtime.do_fork rt parent)
+    with
+    | Some c -> c
+    | None -> Alcotest.fail "fork made no child"
+  in
+  let pages (p : Lfi_runtime.Proc.t) =
+    Memory.region_pages rt.Lfi_runtime.Runtime.mem p.Lfi_runtime.Proc.base
+    |> List.map (fun (idx, pg) ->
+           ( Int64.sub (Memory.page_addr idx) p.Lfi_runtime.Proc.base,
+             pg.Memory.perm,
+             pg.Memory.data ))
+  in
+  let pp = pages parent and cp = pages child in
+  checki "child has the parent's page count" (List.length pp) (List.length cp);
+  List.iter2
+    (fun (po, pperm, pdata) (co, cperm, cdata) ->
+      checkb "same offset" true (Int64.equal po co);
+      checkb "same permission" true (pperm = cperm);
+      if not (Int64.equal co 0L) then
+        checkb "same bytes" true (Bytes.equal pdata cdata))
+    pp cp;
+  (* the call table is rebuilt for the child: unused entries trap into
+     the child's own guard region, not the parent's *)
+  let cbase = child.Lfi_runtime.Proc.base in
+  checkb "child call table rebuilt" true
+    (Int64.equal
+       (Memory.read rt.Lfi_runtime.Runtime.mem cbase 8)
+       (Int64.add cbase (Int64.of_int Lfi_core.Layout.rtcall_table_size)))
 
 let test_wait_echild () =
   let code = "_start:\n\tmovz x0, #0\n\tsvc #8\n\tsvc #1\n\tb _start\n" in
@@ -342,6 +465,10 @@ let () =
       ( "loading",
         [
           mk "rejects unverified" test_load_rejects_unverified;
+          mk "rejects second code segment"
+            test_load_rejects_second_code_segment;
+          mk "rejects cross-slot segment" test_load_rejects_cross_slot_segment;
+          mk "rejects huge memsz" test_load_rejects_huge_memsz;
           mk "native skips verification" test_native_skips_verification;
         ] );
       ( "vfs",
