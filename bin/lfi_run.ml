@@ -56,8 +56,8 @@ let build_workload ?config ~native name : Lfi_elf.Elf.t =
 (* ---------------- overhead attribution ---------------- *)
 
 let decode_at (elf : Lfi_elf.Elf.t) (pc : int) : Lfi_arm64.Insn.t option =
-  match Lfi_elf.Elf.code_segment elf with
-  | Ok s
+  match Lfi_elf.Elf.text_segment elf with
+  | Some s
     when pc >= s.Lfi_elf.Elf.vaddr
          && pc + 4 <= s.Lfi_elf.Elf.vaddr + Bytes.length s.Lfi_elf.Elf.data
     -> (

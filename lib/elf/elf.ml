@@ -367,10 +367,6 @@ let find_symbol (t : t) (name : string) : int option =
   List.find_map (fun (n, v) -> if String.equal n name then Some v else None)
     t.symbols
 
-(** The executable segment's bytes (what the verifier checks). *)
-let text_segment (t : t) : segment option =
-  List.find_opt (fun s -> s.flags land pf_x <> 0) t.segments
-
 (** The image's one executable segment: the code the verifier checks
     before a load.  An image with none is rejected, and so is one with
     several — every executable segment past the first would be mapped
@@ -380,6 +376,10 @@ let code_segment (t : t) : (segment, string) result =
   | [ s ] -> Ok s
   | [] -> Error "no executable segment"
   | _ -> Error "more than one executable segment"
+
+(** {!code_segment} without the reason: [None] unless the image has
+    exactly one executable segment. *)
+let text_segment (t : t) : segment option = Result.to_option (code_segment t)
 
 let text_size (t : t) =
   match text_segment t with Some s -> Bytes.length s.data | None -> 0

@@ -127,27 +127,28 @@ let code_changed m (addr : int64) (len : int) = m.on_code_change addr len
 
 let page_addr (idx : int) = Int64.shift_left (Int64.of_int idx) page_bits
 
-let no_pages : (int, page) Hashtbl.t = Hashtbl.create 1
+(* The page table (page index -> page) of the region holding page
+   [idx], if any page of that region was ever mapped. *)
+let region_opt m (idx : int) = Hashtbl.find_opt m.regions (idx lsr region_shift)
 
-(* The page table of the region holding page [idx].  Lookups never
-   create one (they get [no_pages], which stays empty); mappings pass
-   [~create:true]. *)
-let region_of ?(create = false) m (idx : int) =
-  let r = idx lsr region_shift in
-  match Hashtbl.find_opt m.regions r with
+(* The same, created empty if the region has none yet. *)
+let region_of m (idx : int) =
+  match region_opt m idx with
   | Some tbl -> tbl
-  | None when not create -> no_pages
   | None ->
       let tbl = Hashtbl.create 256 in
-      Hashtbl.replace m.regions r tbl;
+      Hashtbl.replace m.regions (idx lsr region_shift) tbl;
       tbl
 
-(** The page table of the region holding [addr] (page index -> page),
-    for a caller that probes many of one slot's pages and should look
-    the region up once.  Read-only: map and unmap through this module. *)
+(** The page table of the region holding [addr], for a caller that
+    probes many of one slot's pages and should look the region up
+    once.  Map and unmap through this module, not through the table. *)
 let region m (addr : int64) = region_of m (page_index addr)
 
-let find_page_by_index m (idx : int) = Hashtbl.find_opt (region_of m idx) idx
+let find_page_by_index m (idx : int) =
+  match region_opt m idx with
+  | Some tbl -> Hashtbl.find_opt tbl idx
+  | None -> None
 
 (** Map [len] bytes starting at [addr] (both page-aligned) with [perm].
     Already-mapped pages are re-protected, not cleared. *)
@@ -156,7 +157,7 @@ let map m ~(addr : int64) ~(len : int) ~(perm : perm) =
   if len mod page_size <> 0 then invalid_arg "Memory.map: unaligned length";
   let first = page_index addr in
   for i = first to first + (len / page_size) - 1 do
-    let tbl = region_of ~create:true m i in
+    let tbl = region_of m i in
     match Hashtbl.find_opt tbl i with
     | Some p -> p.perm <- perm
     | None ->
@@ -171,7 +172,7 @@ let unmap m ~(addr : int64) ~(len : int) =
     invalid_arg "Memory.unmap: unaligned";
   let first = page_index addr in
   for i = first to first + (len / page_size) - 1 do
-    Hashtbl.remove (region_of m i) i
+    Option.iter (fun tbl -> Hashtbl.remove tbl i) (region_opt m i)
   done;
   tc_flush m;
   code_changed m addr len
@@ -200,7 +201,7 @@ let protect m ~(addr : int64) ~(len : int) ~(perm : perm) =
     code invalidation, however the page got there — the primitive
     behind fork's slot copy and reset's re-mapping. *)
 let place_page m (idx : int) ~(perm : perm) (data : bytes) =
-  let tbl = region_of ~create:true m idx in
+  let tbl = region_of m idx in
   (match Hashtbl.find_opt tbl idx with
   | Some p ->
       Bytes.blit data 0 p.data 0 page_size;
@@ -215,8 +216,11 @@ let place_page m (idx : int) ~(perm : perm) (data : bytes) =
     region): the slot walk behind baseline capture, fork, release and
     the crash report's layout. *)
 let region_pages m (addr : int64) : (int * page) list =
-  List.of_seq (Hashtbl.to_seq (region m addr))
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  match region_opt m (page_index addr) with
+  | None -> []
+  | Some tbl ->
+      List.of_seq (Hashtbl.to_seq tbl)
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 (* The translation-cache lookup: one array probe + one bit test on a
    hit; misses fill the slot from the page table.  The page index is

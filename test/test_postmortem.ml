@@ -216,22 +216,14 @@ let read_file path =
   close_in ic;
   s
 
-let write_file path (s : string) =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
 (* Pin both renderings of the crash report byte for byte, so a change
    in how the runtime walks a slot's pages (the layout and fault-page
-   sections) shows up as a diff.  On a mismatch the new renderings are
-   left next to the goldens as postmortem_golden.actual.{json,txt};
-   regenerate from those only when the report is meant to change. *)
+   sections) shows up as a diff.  Regenerate the goldens only when the
+   report is meant to change. *)
 let test_postmortem_pinned () =
   let pm = crash_run () in
   let json = Lfi_telemetry.Postmortem.to_json pm
   and text = Lfi_telemetry.Postmortem.to_text pm in
-  write_file "postmortem_golden.actual.json" json;
-  write_file "postmortem_golden.actual.txt" text;
   checks "JSON matches the golden" (read_file "postmortem_golden.json") json;
   checks "text matches the golden" (read_file "postmortem_golden.txt") text
 

@@ -105,6 +105,7 @@ let test_load_rejects_second_code_segment () =
   in
   checkb "two code segments rejected" true
     (Result.is_error (Lfi_elf.Elf.code_segment elf));
+  checkb "and have no text segment" true (Lfi_elf.Elf.text_segment elf = None);
   let rt = Lfi_runtime.Runtime.create () in
   expect_load_error rt elf;
   checki "nothing mapped" 0 (List.length (slot_pages rt 1))
