@@ -1,4 +1,4 @@
-.PHONY: all build check test bench bench-json bench-compare serve-bench serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove loc clean
+.PHONY: all build check test bench bench-json bench-compare serve-bench serve-trace-demo crash-demo trace-demo observer-parity fuzz-smoke fuzz prove-smoke prove loc clean
 
 all: build
 
@@ -63,6 +63,24 @@ trace-demo:
 	dune exec bin/lfi_run.exe -- --workload coremark \
 	  --trace trace_coremark.json --metrics metrics_coremark.json || true
 	@echo "wrote trace_coremark.json (open in https://ui.perfetto.dev)"
+
+# Observers must not depend on the dispatch mode: write the per-site
+# overhead report of mcf (runs to exit) and of crashy (faults mid-block)
+# with superblock dispatch off and on, and require byte-identical
+# files.  Both workloads exit nonzero by design, so only a missing or
+# differing report fails the target.
+observer-parity:
+	dune build bin/lfi_run.exe
+	mkdir -p observer_parity
+	for w in mcf crashy; do \
+	  for b in 0 1; do \
+	    LFI_SUPERBLOCKS=$$b dune exec bin/lfi_run.exe -- --workload $$w \
+	      --overhead=observer_parity/$$w.superblocks$$b.json > /dev/null || true; \
+	  done; \
+	  cmp observer_parity/$$w.superblocks0.json \
+	    observer_parity/$$w.superblocks1.json || exit 1; \
+	done
+	@echo "overhead reports identical across dispatch modes"
 
 # Fixed-seed differential fuzzing smoke: all three engines, >=500
 # cases each, deterministic, plus the weakened-verifier oracle demo.

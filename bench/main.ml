@@ -160,8 +160,9 @@ type emu_sample = {
   guard_clamps : int;
       (* the flight recorder's guard-clamp audit: exactly 0 for every
          well-behaved workload *)
-  (* superblock engine, sampled from the timed (metrics-off) run where
-     block dispatch is armed (schema v4 telemetry section) *)
+  (* superblock engine, sampled from the timed (metrics-off) run, the
+     configuration the throughput figure describes (schema v4
+     telemetry section) *)
   block_cache_hit_rate : float;
   avg_block_len : float;
   deopt_count : int;
@@ -204,9 +205,9 @@ let overhead_samples workloads : ov_sample list =
               let sys = Lfi_experiments.Run.Lfi config in
               let elf = Lfi_experiments.Run.build sys prog in
               (* only the O2 row pays for attribution: the per-site
-                 accumulator deopts superblock dispatch, but cycle
-                 counts are dispatch-invariant, so the O0/O1 rows can
-                 run unobserved *)
+                 accumulator is charged per block, and cycle counts do
+                 not depend on it, so the O0/O1 rows can run
+                 unobserved *)
               let attribute = opt = "O2" in
               let r, rt =
                 Lfi_experiments.Run.execute_rt ~uarch ~overhead:attribute sys
@@ -279,9 +280,10 @@ let emulator_samples ~reps workloads =
               (* build outside the timed section: we are measuring the
                  emulator, not the compiler *)
               let elf = Lfi_experiments.Run.build sys w.Lfi_workloads.Common.program in
-              (* the timed run keeps metrics off so block dispatch stays
-                 armed; the runtime handle still exposes the machine's
-                 unconditional superblock counters afterwards *)
+              (* the timed run keeps metrics off, so it times the
+                 emulator alone; the runtime handle still exposes the
+                 machine's unconditional superblock counters
+                 afterwards *)
               let (r, rt), wall =
                 best_of reps (fun () ->
                     Lfi_experiments.Run.execute_rt ~uarch sys elf)

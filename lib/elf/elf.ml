@@ -199,12 +199,32 @@ let write (t : t) : bytes =
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(** Parse an image.  The bytes are untrusted, so [Bad_elf] is the only
+    failure: every offset and size read from them goes through one
+    range check before it is used. *)
 let read (b : bytes) : t =
   let len = Bytes.length b in
   if len < ehsize then raise (Bad_elf "truncated header");
   let u8 off = Bytes.get_uint8 b off in
   let u16 off = Bytes.get_uint16_le b off in
   let u64 off = Int64.to_int (Bytes.get_int64_le b off) in
+  (* [off, off + size) lies in the file.  Both come from 64-bit fields,
+     so they may be negative, and [off + size] may wrap: compare
+     without adding. *)
+  let check_range what off size =
+    if off < 0 || size < 0 || off > len || size > len - off then
+      raise (Bad_elf what)
+  in
+  (* the NUL-terminated string at [off] of the string table
+     [tab_off, tab_off + tab_size), itself already range-checked *)
+  let string_at what ~tab_off ~tab_size off =
+    if off < 0 || off >= tab_size then raise (Bad_elf what);
+    let start = tab_off + off in
+    match Bytes.index_from_opt b start '\000' with
+    | Some stop when stop < tab_off + tab_size ->
+        Bytes.sub_string b start (stop - start)
+    | _ -> raise (Bad_elf what)
+  in
   if u8 0 <> 0x7f || u8 1 <> Char.code 'E' || u8 2 <> Char.code 'L'
      || u8 3 <> Char.code 'F' then raise (Bad_elf "bad magic");
   if u8 4 <> 2 then raise (Bad_elf "not ELF64");
@@ -215,10 +235,10 @@ let read (b : bytes) : t =
   let phnum = u16 56 in
   let phentsize' = u16 54 in
   if phentsize' <> phentsize then raise (Bad_elf "bad phentsize");
+  check_range "truncated phdr" phoff (phnum * phentsize);
   let segments =
     List.init phnum (fun i ->
         let ph = phoff + (i * phentsize) in
-        if ph + phentsize > len then raise (Bad_elf "truncated phdr");
         let p_type = Int32.to_int (Bytes.get_int32_le b ph) in
         if p_type <> 1 then None
         else
@@ -227,7 +247,7 @@ let read (b : bytes) : t =
           let vaddr = u64 (ph + 16) in
           let filesz = u64 (ph + 32) in
           let memsz = u64 (ph + 40) in
-          if offset + filesz > len then raise (Bad_elf "segment past EOF");
+          check_range "segment past EOF" offset filesz;
           if memsz < filesz then raise (Bad_elf "memsz < filesz");
           Some { vaddr; flags; data = Bytes.sub b offset filesz; memsz })
     |> List.filter_map Fun.id
@@ -242,7 +262,7 @@ let read (b : bytes) : t =
     if shoff = 0 || shnum = 0 then ([], [])
     else begin
       if u16 58 <> shentsize then raise (Bad_elf "bad shentsize");
-      if shoff + (shnum * shentsize) > len then raise (Bad_elf "truncated shdrs");
+      check_range "truncated shdrs" shoff (shnum * shentsize);
       let u32at off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff in
       let sh_name i = u32at (shoff + (i * shentsize)) in
       let sh_type i = Int32.to_int (Bytes.get_int32_le b (shoff + (i * shentsize) + 4)) in
@@ -259,17 +279,15 @@ let read (b : bytes) : t =
         | None -> []
         | Some si ->
             let link = sh_link si in
-            if link >= shnum || sh_type link <> 3 then
+            if link < 0 || link >= shnum || sh_type link <> 3 then
               raise (Bad_elf "symtab without strtab");
             let str_off = sh_off link and str_size = sh_size link in
-            if str_off + str_size > len then raise (Bad_elf "truncated strtab");
-            let name_at off =
-              if off >= str_size then raise (Bad_elf "bad st_name");
-              let stop = Bytes.index_from b (str_off + off) '\000' in
-              Bytes.sub_string b (str_off + off) (stop - (str_off + off))
+            check_range "truncated strtab" str_off str_size;
+            let name_at =
+              string_at "bad st_name" ~tab_off:str_off ~tab_size:str_size
             in
             let sym_off = sh_off si and sym_size = sh_size si in
-            if sym_off + sym_size > len then raise (Bad_elf "truncated symtab");
+            check_range "truncated symtab" sym_off sym_size;
             let nsyms = sym_size / symentsize in
             List.init nsyms (fun i ->
                 let e = sym_off + (i * symentsize) in
@@ -285,12 +303,12 @@ let read (b : bytes) : t =
           fun _ -> ""
         else
           let str_off = sh_off shstrndx and str_size = sh_size shstrndx in
+          check_range "truncated shstrtab" str_off str_size;
           fun i ->
             let noff = sh_name i in
             if noff >= str_size then ""
             else
-              let stop = Bytes.index_from b (str_off + noff) '\000' in
-              Bytes.sub_string b (str_off + noff) (stop - (str_off + noff))
+              string_at "bad sh_name" ~tab_off:str_off ~tab_size:str_size noff
       in
       let rec find_sites i =
         if i >= shnum then None
@@ -302,7 +320,7 @@ let read (b : bytes) : t =
         | None -> []
         | Some si ->
             let off = sh_off si and size = sh_size si in
-            if off + size > len then raise (Bad_elf "truncated .lfi_sites");
+            check_range "truncated .lfi_sites" off size;
             if size < 8 || Bytes.sub_string b off 4 <> sites_magic then
               raise (Bad_elf "bad .lfi_sites header");
             if u32at (off + 4) <> sites_version then

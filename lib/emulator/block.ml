@@ -27,13 +27,19 @@
     - a block invalidated by its own store (self-modifying code on a
       W+X page) stops after the offending instruction, exactly where
       the step path would re-fetch;
-    - anything needing finer observation ({!Machine.metrics},
-      {!Machine.profile}, {!Machine.escape_oracle},
-      {!Machine.overhead}) never reaches this module — {!Exec.run}
-      deopts to the step loop first.  Overhead attribution in
-      particular charges per fetched pc, so both dispatch modes
-      produce identical site accounting: armed, they run the same
-      step path; off, neither charges anything. *)
+    - observers whose counts are static per block are charged per
+      block: {!Machine.metrics} (instruction mix, decode hits and
+      misses) and {!Machine.overhead} (per-site cycles) read the
+      {!tally} attached to a block while they are armed, after a full
+      execution or for the retired prefix of a faulting or
+      self-invalidated one.  Decode misses are
+      owed by a slot until it first retires, and site cycles are added
+      per executed site instruction in program order, so both counts
+      equal the step path's.  With neither armed the cost is one
+      predictable branch per block;
+    - observers that need the pc of every instruction as it runs
+      ({!Machine.profile}, {!Machine.escape_oracle}) never reach this
+      module — {!Exec.run} deopts to the step loop first. *)
 
 open Lfi_arm64
 open Machine
@@ -877,10 +883,14 @@ let make_term (tpc : int) (insn : Insn.t) : bterm =
 
 (** Decode (through the shared per-page decode cache) the instruction
     at [pci] without charging cost or counting telemetry — charging
-    happens at execution, from [b_costs].  [None] means the fetch
-    would fault: at [k > 0] the block ends cleanly before the fault
-    (the step path executes the preceding instructions first), while
-    at [k = 0] the fault propagates exactly as a step-path fetch. *)
+    happens at execution, from [b_costs] and the block's tallies.  A
+    slot decoded here while metrics are armed is marked fresh, so its
+    decode miss is counted when it first retires, not now: lowering
+    runs ahead of execution (past a faulting instruction, say).
+    [None] means the fetch would fault: at [k > 0] the block ends
+    cleanly before the fault (the step path executes the preceding
+    instructions first), while at [k = 0] the fault propagates exactly
+    as a step-path fetch. *)
 let fetch_decoded (m : Machine.t) (k : int) (pci : int) :
     (Insn.t * float) option =
   let pidx = pci lsr Memory.page_bits in
@@ -895,6 +905,9 @@ let fetch_decoded (m : Machine.t) (k : int) (pci : int) :
         let c = Cost_model.cost m.uarch i in
         Array.unsafe_set m.dc_arr slot i;
         Array.unsafe_set m.dc_cost slot c;
+        (match m.metrics with
+        | None -> ()
+        | Some _ -> Bytes.unsafe_set m.dc_fresh slot '\001');
         Some (i, c)
     | exception Memory.Fault _ when k > 0 -> None
 
@@ -908,11 +921,81 @@ let block_page (m : Machine.t) (idx : int) : bpage =
       Hashtbl.replace m.blocks idx bp;
       bp
 
+(* Where entry-page slot [s] of a block lives, given the per-slot
+   arrays [a0] of its entry page and [a1] of the next: slots past the
+   end of the entry page are on the next page. *)
+let[@inline] page_cell (a0 : 'a) (a1 : 'a) (s : int) : 'a * int =
+  if s < decode_slots then (a0, s) else (a1, s - decode_slots)
+
+(* The observer tallies of valid block [b], read off the decode cache,
+   where every slot of a valid block is decoded: invalidating a decode
+   page kills the blocks on it. *)
+let tally (m : Machine.t) (b : blk) : tally =
+  let pidx = b.b_pci lsr Memory.page_bits in
+  let slot0 = (b.b_pci land (Memory.page_size - 1)) lsr 2 in
+  let page idx =
+    match Hashtbl.find_opt m.decode_pages idx with
+    | Some (insns, _, fresh) -> (insns, fresh)
+    | None -> ([||], no_fresh_page)
+  in
+  let insns0, fresh0 = page pidx in
+  let insns1, fresh1 =
+    if b.b_pages > 1 then page (pidx + 1) else ([||], no_fresh_page)
+  in
+  let cls = Bytes.create b.b_len in
+  let mix = Array.make Lfi_telemetry.Metrics.n_classes 0 in
+  let sites =
+    match m.overhead with None -> [||] | Some _ -> Array.make b.b_len (-1)
+  in
+  let pend = ref 0 in
+  for k = 0 to b.b_len - 1 do
+    let insns, i = page_cell insns0 insns1 (slot0 + k) in
+    let c = Interp.insn_class insns.(i) in
+    Bytes.set cls k (Char.chr c);
+    mix.(c) <- mix.(c) + 1;
+    (let fresh, i = page_cell fresh0 fresh1 (slot0 + k) in
+     if Bytes.get fresh i <> '\000' then incr pend);
+    match m.overhead with
+    | None -> ()
+    | Some a ->
+        sites.(k) <- Lfi_telemetry.Overhead.site_at a (b.b_pci + (4 * k))
+  done;
+  {
+    t_cls = cls;
+    t_mix = mix;
+    t_pend = !pend;
+    t_fresh0 = fresh0;
+    t_fresh1 = fresh1;
+    t_sites = sites;
+  }
+
+(** Arm the emulator counters.  Block dispatch stays on: every block
+    already lowered gets its tallies now, later ones when they are
+    built. *)
+let arm_metrics (m : Machine.t) (e : Lfi_telemetry.Metrics.emu) =
+  m.metrics <- Some e;
+  m.observed <- true;
+  Hashtbl.iter
+    (fun _ bp ->
+      List.iter
+        (fun b -> if b.b_valid && b.b_tally == no_tally then b.b_tally <- tally m b)
+        bp.bp_blocks)
+    m.blocks
+
+(** Arm per-site attribution.  Blocks lowered before carry no site
+    indices for [a], so they are all dropped: no block runs with stale
+    or missing sites. *)
+let arm_overhead (m : Machine.t) (a : Lfi_telemetry.Overhead.acc) =
+  m.overhead <- Some a;
+  m.observed <- true;
+  drop_blocks m
+
 (** Lower and register the block entered at [pci].  Building is the
     execution attempt at that pc: the dispatch loop does not maintain
     [m.pc], so materialize it here first — a fetch fault (misaligned
     or unmapped entry) must leave [m.pc] at the faulting instruction,
-    exactly like a step-path fetch. *)
+    exactly like a step-path fetch.  While an observer is armed the
+    block also gets its {!tally}. *)
 let build (m : Machine.t) (pci : int) : blk =
   m.blk_builds <- m.blk_builds + 1;
   m.pc <- Int64.of_int pci;
@@ -972,8 +1055,10 @@ let build (m : Machine.t) (pci : int) : blk =
       b_valid = true;
       b_succ0 = no_blk;
       b_succ1 = no_blk;
+      b_tally = no_tally;
     }
   in
+  if m.observed then b.b_tally <- tally m b;
   let bp = block_page m pidx in
   let slot = (pci land (Memory.page_size - 1)) lsr 2 in
   Array.unsafe_set bp.bp_entries slot b;
@@ -1097,6 +1182,48 @@ let rec body_fast (m : Machine.t) (body : (Machine.t -> unit) array)
     body_fast m body costs n (i + 1)
   end
 
+(** Charge the armed observers for the first [r] slots of [b], the
+    ones that retired: [b_len] after a full execution, otherwise the
+    prefix up to the faulting or self-invalidating instruction.  A
+    full execution adds the block's class totals; decode hits and
+    misses need a walk over the fresh flags only while some slot still
+    owes its miss.  Site cycles are added one executed site
+    instruction at a time, in program order — never as execs × cost —
+    so the accumulator sees the step path's exact float sequence. *)
+let observe (m : Machine.t) (b : blk) (r : int) =
+  let tl = b.b_tally in
+  (match m.metrics with
+  | None -> ()
+  | Some t ->
+      let open Lfi_telemetry.Metrics in
+      if r = b.b_len then add_mix t tl.t_mix
+      else
+        for k = 0 to r - 1 do
+          count_class t (Char.code (Bytes.get tl.t_cls k))
+        done;
+      if tl.t_pend = 0 then t.decode_hits <- t.decode_hits + r
+      else begin
+        let slot0 = (b.b_pci land (Memory.page_size - 1)) lsr 2 in
+        for k = 0 to r - 1 do
+          let fresh, i = page_cell tl.t_fresh0 tl.t_fresh1 (slot0 + k) in
+          if Bytes.get fresh i <> '\000' then begin
+            Bytes.set fresh i '\000';
+            t.decode_misses <- t.decode_misses + 1
+          end
+          else t.decode_hits <- t.decode_hits + 1
+        done;
+        if r = b.b_len then tl.t_pend <- 0
+      end);
+  match m.overhead with
+  | None -> ()
+  | Some a ->
+      let sites = tl.t_sites in
+      for k = 0 to min r (Array.length sites) - 1 do
+        let s = Array.unsafe_get sites k in
+        if s >= 0 then
+          Lfi_telemetry.Overhead.charge_site a s (Array.unsafe_get b.b_costs k)
+      done
+
 (* Retire the terminator after a fully-executed body of [n] ops;
    returns the next pc (or -1 for a trap terminator). *)
 let[@inline] finish_block (m : Machine.t) (b : blk) (n : int) : int =
@@ -1116,8 +1243,8 @@ let[@inline] finish_block (m : Machine.t) (b : blk) (n : int) : int =
     terminator (which has set [m.pc]).  On a memory fault the
     instruction count and pc are repaired to the faulting instruction
     — bit-identical to the step path, which counts an instruction
-    before executing it — and the fault re-raised for {!run}'s single
-    handler. *)
+    before executing it — the armed observers are charged for that
+    prefix, and the fault re-raised for {!run}'s single handler. *)
 let exec_block (m : Machine.t) (b : blk) : int =
   m.blk_execs <- m.blk_execs + 1;
   let body = b.b_body in
@@ -1142,6 +1269,7 @@ let exec_block (m : Machine.t) (b : blk) : int =
     let k = m.blk_i in
     m.insns <- m.insns + k + 1;
     m.blk_insns <- m.blk_insns + k + 1;
+    if m.observed then observe m b (k + 1);
     m.pc <- Int64.of_int (b.b_pci + (4 * k));
     raise e
 
@@ -1193,7 +1321,11 @@ let run (m : Machine.t) ~(quantum : int) : Interp.event =
     if b.b_len <= remaining then begin
       let before = m.insns in
       let npc = exec_block m b in
-      if npc <> -1 then chain b npc (remaining - (m.insns - before))
+      let retired = m.insns - before in
+      (* [b] ran to its end or to its self-invalidation point (a fault
+         is charged by [exec_block]'s handler) *)
+      if m.observed then observe m b retired;
+      if npc <> -1 then chain b npc (remaining - retired)
       else
         match b.b_term with
         | Tsvc { n; _ } -> Interp.Trap (Interp.Svc_trap n)
@@ -1201,7 +1333,7 @@ let run (m : Machine.t) ~(quantum : int) : Interp.event =
         | _ ->
             (* a genuine branch whose target truncates to -1: dispatch
                there and fault exactly like the step path's next fetch *)
-            chain b npc (remaining - (m.insns - before))
+            chain b npc (remaining - retired)
     end
     else begin
       (* quantum tail: not enough budget for the whole block *)

@@ -2,21 +2,22 @@
 
     Re-exports the single-step interpreter ({!Interp}: [step],
     [exec_insn], the [event]/[trap] types) and routes whole quanta
-    ({!run}) to the superblock engine ({!Block}) when nothing needs
-    per-instruction observability.
+    ({!run}) to the superblock engine ({!Block}).
 
-    Deopt triggers — any of these forces the step path for the whole
-    quantum (DESIGN.md §5f):
-    - [m.metrics] armed: per-instruction class counts and decode-cache
-      telemetry only exist on the step path;
+    One observation rule decides the route (DESIGN.md §5f): counts
+    that are static per block are charged per block, and only
+    observers that need dynamic pc state deopt.  So armed metrics
+    (instruction mix, decode counters) and armed overhead attribution
+    (per-site cycles) keep block dispatch, and these force the step
+    path for the whole quantum:
     - [m.profile] armed: the pc-sampling profiler needs [m.pc] and
       [m.insns] maintained every instruction;
     - [m.escape_oracle] armed: the fuzzing oracle checks every data
       access and branch target;
-    - [m.overhead] armed: per-site cycle attribution charges at fetch
-      time, which only the step path performs per instruction;
     - [m.blocks_enabled = false]: the per-machine kill switch
       (seeded from [LFI_SUPERBLOCKS]).
+    Within block dispatch, a quantum tail too short for the next block
+    is single-stepped as well.
 
     The flight recorder is NOT a deopt trigger: it is on by default in
     production configs, so lowered blocks replicate its events
@@ -26,10 +27,8 @@ include Interp
 
 let[@inline] blocks_armed (m : Machine.t) : bool =
   m.Machine.blocks_enabled
-  && (match m.Machine.metrics with None -> true | Some _ -> false)
   && (match m.Machine.profile with None -> true | Some _ -> false)
   && (match m.Machine.escape_oracle with None -> true | Some _ -> false)
-  && (match m.Machine.overhead with None -> true | Some _ -> false)
 
 (** Run until an event occurs or [quantum] instructions have executed. *)
 let run (m : Machine.t) ~(quantum : int) : event =

@@ -9,15 +9,16 @@
     This module is the semantic reference: the superblock engine
     ({!Block}) lowers hot instructions into specialized closures but
     falls back to {!exec_insn} for everything else, and {!Exec.run}
-    deopts to the step loop here whenever per-instruction telemetry is
-    armed.  The step path is engineered to be allocation-free on the
-    common path: instruction fetch is an array probe into the
-    machine's per-page decode cache, effective addresses are computed
-    by {!addr_of} and written back by {!writeback} (no intermediate
-    [(addr, closure)] pair), cycle accounting goes through the
-    machine's unboxed accumulator, and [step] returns its event
-    directly — the only allocations left are the boxed [int64]
-    temporaries inherent to OCaml's int64 arithmetic. *)
+    deopts to the step loop here whenever an observer that needs every
+    instruction's pc (the profiler, the escape oracle) is armed.  The
+    step path is engineered to be allocation-free on the common path:
+    instruction fetch is an array probe into the machine's per-page
+    decode cache, effective addresses are computed by {!addr_of} and
+    written back by {!writeback} (no intermediate [(addr, closure)]
+    pair), cycle accounting goes through the machine's unboxed
+    accumulator, and [step] returns its event directly — the only
+    allocations left are the boxed [int64] temporaries inherent to
+    OCaml's int64 arithmetic. *)
 
 open Lfi_arm64
 open Machine
@@ -317,30 +318,36 @@ let ucvtf_value (v : int64) : float =
 (* Step                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Telemetry: decode-cache outcome plus the instruction-class mix,
-    counted in one pass so the metrics-off fetch path pays a single
-    [None] check.  A guard is the rewriter's x21-based add — either the
-    fundamental [add xD, x21, wN, uxtw] or the sp re-anchor
-    [add sp, x21, x22, uxtx]. *)
-let count_fetch (t : Lfi_telemetry.Metrics.emu) ~(hit : bool) (i : Insn.t) =
+(** The instruction class the metrics mix counts [i] under — the one
+    classifier both dispatch modes use.  A guard is the rewriter's
+    x21-based add — either the fundamental [add xD, x21, wN, uxtw] or
+    the sp re-anchor [add sp, x21, x22, uxtx]. *)
+let insn_class (i : Insn.t) : int =
   let open Lfi_telemetry.Metrics in
-  if hit then t.decode_hits <- t.decode_hits + 1
-  else t.decode_misses <- t.decode_misses + 1;
   match i with
   | Insn.Alu
       { op = Insn.ADD; flags = false; src = Reg.R (Reg.W64, 21);
         op2 = Insn.Ext (_, (Insn.Uxtw | Insn.Uxtx), 0); _ } ->
-      t.guards <- t.guards + 1
+      cls_guard
   | Insn.Ldr _ | Insn.Ldp _ | Insn.Fldr _ | Insn.Fldp _ | Insn.Ldxr _
   | Insn.Ldar _ ->
-      t.loads <- t.loads + 1
+      cls_load
   | Insn.Str _ | Insn.Stp _ | Insn.Fstr _ | Insn.Fstp _ | Insn.Stxr _
   | Insn.Stlr _ ->
-      t.stores <- t.stores + 1
+      cls_store
   | Insn.B _ | Insn.Bl _ | Insn.Bcond _ | Insn.Cbz _ | Insn.Tbz _
   | Insn.Br _ | Insn.Blr _ | Insn.Ret _ ->
-      t.branches <- t.branches + 1
-  | _ -> t.other <- t.other + 1
+      cls_branch
+  | _ -> cls_other
+
+(** Telemetry: decode-cache outcome plus the instruction-class mix,
+    counted in one pass so the metrics-off fetch path pays a single
+    [None] check. *)
+let count_fetch (t : Lfi_telemetry.Metrics.emu) ~(hit : bool) (i : Insn.t) =
+  let open Lfi_telemetry.Metrics in
+  if hit then t.decode_hits <- t.decode_hits + 1
+  else t.decode_misses <- t.decode_misses + 1;
+  count_class t (insn_class i)
 
 (** Fetch (through the per-page decode cache) the instruction at the
     current pc and charge its throughput cost.  The alignment check
@@ -360,7 +367,14 @@ let fetch_insn (m : Machine.t) : Insn.t =
   if i != Machine.undecoded then begin
     let c = Array.unsafe_get m.dc_cost slot in
     add_cycles m c;
-    (match m.metrics with None -> () | Some t -> count_fetch t ~hit:true i);
+    (match m.metrics with
+    | None -> ()
+    | Some t ->
+        (* a slot lowered into a block but not yet retired still owes
+           its decode miss *)
+        let fresh = Bytes.unsafe_get m.dc_fresh slot <> '\000' in
+        if fresh then Bytes.unsafe_set m.dc_fresh slot '\000';
+        count_fetch t ~hit:(not fresh) i);
     (match m.overhead with
     | None -> ()
     | Some a -> Lfi_telemetry.Overhead.charge a pci c);

@@ -54,6 +54,7 @@ let undecoded : Insn.t = Insn.Udf (-1)
 
 let no_decode_page : Insn.t array = [||]
 let no_cost_page : float array = [||]
+let no_fresh_page : Bytes.t = Bytes.empty
 
 (* ---------------- escape oracle ---------------- *)
 
@@ -147,18 +148,25 @@ type t = {
           hot-path accumulate is an unboxed float store (a [mutable
           float] field in this mixed record would box on every add) *)
   mutable insns : int;
-  decode_pages : (int, Insn.t array * float array) Hashtbl.t;
+  decode_pages : (int, Insn.t array * float array * Bytes.t) Hashtbl.t;
       (** per-page decoded-instruction arrays ([undecoded] sentinel in
           empty slots) plus each slot's cost under [uarch] (a flat
           float array, so charging a cached instruction is an unboxed
-          load), keyed by page index *)
+          load) and its {e fresh} flag, keyed by page index.  A slot is
+          fresh ([\001]) when block lowering decoded it while
+          {!metrics} was armed and no retirement has been counted for
+          it yet: the decode miss belongs to its first retirement, not
+          to the lowering, so the counters do not depend on the
+          dispatch mode *)
   mutable dc_idx : int;  (** page index of [dc_arr]; -1 = none *)
   mutable dc_arr : Insn.t array;  (** last decode page touched *)
   mutable dc_cost : float array;  (** cost slots of [dc_arr] *)
   mutable metrics : Lfi_telemetry.Metrics.emu option;
       (** telemetry handle; [None] (the default) counts nothing and
-          allocates nothing — each count site is one predictable
-          branch, preserving the hot loop's throughput *)
+          allocates nothing.  The step path counts per fetch (one
+          predictable branch); block dispatch charges each block's
+          static tallies after it runs (see {!observed}).  Set it
+          with [Block.arm_metrics] *)
   mutable profile : Lfi_telemetry.Profile.t option;
       (** pc-sampling profiler handle; [None] by default *)
   mutable flight : Lfi_telemetry.Flight.t option;
@@ -171,13 +179,16 @@ type t = {
   mutable overhead : Lfi_telemetry.Overhead.acc option;
       (** per-rewrite-site cycle attribution; [None] (the default)
           charges nothing — one predictable branch per fetch, same
-          discipline as {!metrics} *)
+          discipline as {!metrics}.  Blocks lowered while it is armed
+          record each slot's site index; set it with
+          [Block.arm_overhead], which drops every block lowered
+          before *)
   (* --- superblock cache (see {!Block} for the engine) --- *)
   mutable blocks_enabled : bool;
-      (** master switch for block dispatch on this machine; when armed
-          telemetry ({!metrics}, {!profile}) or the {!escape_oracle}
-          needs per-instruction observability, {!Exec.run} deopts to
-          the single-step path regardless of this flag *)
+      (** master switch for block dispatch on this machine; even when
+          set, {!Exec.run} deopts to the single-step path while the
+          {!profile} or the {!escape_oracle} is armed — both need the
+          pc of every instruction as it runs *)
   blocks : (int, bpage) Hashtbl.t;  (** per-page block tables *)
   mutable bp_idx : int;  (** page index of [bp_arr]; -1 = none *)
   mutable bp_arr : blk array;  (** entry slots of the last block page *)
@@ -193,10 +204,18 @@ type t = {
   mutable blk_builds : int;  (** lookup misses (block lowered+built) *)
   mutable blk_insns : int;  (** instructions retired via blocks *)
   mutable blk_deopts : int;
-      (** times {!Exec.run} fell back to single-step: armed telemetry
+      (** times {!Exec.run} fell back to single-step: an armed profiler
           or oracle, quantum tails shorter than the next block, or
           [blocks_enabled = false] on a machine that has the engine
-          compiled in *)
+          compiled in.  Armed metrics and overhead attribution are not
+          deopts *)
+  (* --- observers (after the fields above, which the dispatch loop
+     reads on every block) --- *)
+  mutable dc_fresh : Bytes.t;  (** fresh flags of [dc_arr] *)
+  mutable observed : bool;
+      (** [metrics] or [overhead] is armed: the one flag the block
+          engine tests per block before charging static tallies, and
+          the one that makes [Block.build] attach them *)
 }
 
 (** One lowered basic block.  [b_body] holds the straight-line
@@ -225,6 +244,31 @@ and blk = {
   mutable b_valid : bool;
   mutable b_succ0 : blk;  (** chain links: likely successors, *)
   mutable b_succ1 : blk;  (** validated by [b_valid] + [b_pci] *)
+  mutable b_tally : tally;
+      (** what the observers charge per execution; the shared
+          [no_tally] while nothing is {!observed} *)
+}
+
+(** A block's static observer tallies ([Block.tally]), attached while
+    an observer is armed. *)
+and tally = {
+  t_cls : Bytes.t;
+      (** instruction class ({!Lfi_telemetry.Metrics.cls_load} ...) of
+          each retired slot, body then terminator *)
+  t_mix : int array;  (** class totals of one full execution *)
+  mutable t_pend : int;
+      (** slots that were fresh (see [decode_pages]) when the tally
+          was taken; 0 means every retirement is a decode hit, so a
+          full execution skips the per-slot walk *)
+  t_fresh0 : Bytes.t;  (** fresh flags of the entry page ... *)
+  t_fresh1 : Bytes.t;
+      (** ... and of the next page when the block straddles into it.
+          Held by reference: a block that invalidates its own page
+          still reads the flags its slots had when they ran *)
+  t_sites : int array;
+      (** site index of each slot in the {!overhead} accumulator
+          armed when the tally was taken (-1: not a site); empty when
+          none was armed *)
 }
 
 (** Block terminators.  Branch targets, fall-through pcs, and the
@@ -261,6 +305,19 @@ and bpage = {
   mutable bp_blocks : blk list;
 }
 
+(* The tallies of every block while nothing is {!observed}: arming an
+   observer replaces them, so these are never charged, and an
+   unobserved build allocates nothing for the observers. *)
+let no_tally =
+  {
+    t_cls = Bytes.empty;
+    t_mix = [||];
+    t_pend = 0;
+    t_fresh0 = no_fresh_page;
+    t_fresh1 = no_fresh_page;
+    t_sites = [||];
+  }
+
 (* Sentinel block: never valid, so an empty entry slot or chain link
    reads as a guaranteed miss with no option boxing on the hot path. *)
 let rec no_blk =
@@ -275,6 +332,7 @@ let rec no_blk =
     b_valid = false;
     b_succ0 = no_blk;
     b_succ1 = no_blk;
+    b_tally = no_tally;
   }
 
 let no_block_page : blk array = [||]
@@ -355,7 +413,8 @@ let invalidate_code (m : t) (addr : int64) (len : int) =
     if m.dc_idx >= first && m.dc_idx <= last then begin
       m.dc_idx <- -1;
       m.dc_arr <- no_decode_page;
-      m.dc_cost <- no_cost_page
+      m.dc_cost <- no_cost_page;
+      m.dc_fresh <- no_fresh_page
     end
   end
 
@@ -396,6 +455,8 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
       blk_builds = 0;
       blk_insns = 0;
       blk_deopts = 0;
+      dc_fresh = no_fresh_page;
+      observed = false;
     }
   in
   (* Join the memory system's invalidation protocol, preserving any
@@ -411,18 +472,31 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
     pointer ([dc_idx] / [dc_arr] / [dc_cost]), creating it on first
     touch. *)
 let decode_page (m : t) (idx : int) : unit =
-  let arr, costs =
+  let arr, costs, fresh =
     match Hashtbl.find_opt m.decode_pages idx with
-    | Some (arr, costs) -> (arr, costs)
+    | Some page -> page
     | None ->
-        let arr = Array.make decode_slots undecoded in
-        let costs = Array.make decode_slots 0.0 in
-        Hashtbl.replace m.decode_pages idx (arr, costs);
-        (arr, costs)
+        let page =
+          ( Array.make decode_slots undecoded,
+            Array.make decode_slots 0.0,
+            Bytes.make decode_slots '\000' )
+        in
+        Hashtbl.replace m.decode_pages idx page;
+        page
   in
   m.dc_idx <- idx;
   m.dc_arr <- arr;
-  m.dc_cost <- costs
+  m.dc_cost <- costs;
+  m.dc_fresh <- fresh
+
+(** Drop every lowered block (the next dispatch at any pc rebuilds). *)
+let drop_blocks (m : t) =
+  Hashtbl.iter
+    (fun _ bp -> List.iter (fun b -> b.b_valid <- false) bp.bp_blocks)
+    m.blocks;
+  Hashtbl.reset m.blocks;
+  m.bp_idx <- -1;
+  m.bp_arr <- no_block_page
 
 (* ---------------- cycle accounting ---------------- *)
 

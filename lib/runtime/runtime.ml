@@ -113,7 +113,9 @@ let stdout_of p = Buffer.contents p.Proc.stdout
 let trace_pid = 1
 
 (** Turn on emulator metric counters (and per-call latency histograms).
-    Idempotent; returns the live counter record. *)
+    Idempotent; returns the live counter record.  Block dispatch stays
+    on: blocks lowered from then on carry the tallies the counters are
+    charged from. *)
 let enable_metrics rt : Lfi_telemetry.Metrics.emu =
   (match rt.call_hist with
   | Some _ -> ()
@@ -124,7 +126,7 @@ let enable_metrics rt : Lfi_telemetry.Metrics.emu =
   | Some e -> e
   | None ->
       let e = Lfi_telemetry.Metrics.create_emu () in
-      rt.machine.Machine.metrics <- Some e;
+      Block.arm_metrics rt.machine e;
       e
 
 (** Current counters, with the memory-system (translation cache, TLB)
@@ -173,7 +175,9 @@ let enable_profile ?period rt : Lfi_telemetry.Profile.t =
     [.lfi_sites] table its image carried ([Proc.sites], rebased to the
     slot).  Returns [None] when the image has no site table.
     Idempotent; the machine holds one accumulator, so attribute one
-    sandbox per runtime (exactly what [lfi_run --overhead] does). *)
+    sandbox per runtime (exactly what [lfi_run --overhead] does).
+    Arming drops every block already lowered; blocks lowered from then
+    on carry the site index of each slot, so block dispatch stays on. *)
 let enable_overhead rt (p : Proc.t) : Lfi_telemetry.Overhead.acc option =
   match rt.machine.Machine.overhead with
   | Some a -> Some a
@@ -185,7 +189,7 @@ let enable_overhead rt (p : Proc.t) : Lfi_telemetry.Overhead.acc option =
             ~base:(Int64.to_int p.Proc.base)
             p.Proc.sites
         in
-        rt.machine.Machine.overhead <- Some a;
+        Block.arm_overhead rt.machine a;
         Some a
       end
 

@@ -5,6 +5,9 @@
     that is [None] by default: with telemetry disabled nothing is
     allocated and each potential count site costs one predictable
     branch, which keeps the PR-1 hot loop at its measured throughput.
+    The step path counts per fetched instruction; the superblock
+    engine charges the same counts per block from static tallies, so
+    arming metrics does not cost block dispatch.
 
     The memory system's translation cache and the TLB already maintain
     their own unconditional counters (flat mutable ints, following the
@@ -28,6 +31,32 @@ type emu = {
   mutable other : int;
 }
 
+(** Instruction classes of the mix, as small ints: one classifier
+    ([Interp.insn_class]) serves the step path and the superblock
+    tallies. *)
+let cls_load = 0
+let cls_store = 1
+let cls_branch = 2
+let cls_guard = 3
+let cls_other = 4
+let n_classes = 5
+
+let count_class (t : emu) (c : int) =
+  if c = cls_load then t.loads <- t.loads + 1
+  else if c = cls_store then t.stores <- t.stores + 1
+  else if c = cls_branch then t.branches <- t.branches + 1
+  else if c = cls_guard then t.guards <- t.guards + 1
+  else t.other <- t.other + 1
+
+(** Charge a mix tallied per class ([n_classes] slots, indexed by
+    class): one superblock execution's worth of instructions. *)
+let add_mix (t : emu) (mix : int array) =
+  t.loads <- t.loads + mix.(cls_load);
+  t.stores <- t.stores + mix.(cls_store);
+  t.branches <- t.branches + mix.(cls_branch);
+  t.guards <- t.guards + mix.(cls_guard);
+  t.other <- t.other + mix.(cls_other)
+
 let create_emu () =
   {
     decode_hits = 0;
@@ -50,13 +79,13 @@ type snapshot = {
   tlb_hits : int;
   tlb_misses : int;  (** every miss is a page walk *)
   (* superblock engine (unconditional machine counters; nonzero only
-     when block dispatch actually ran — metrics-armed runs deopt to
-     the step path, so a metrics run reports its own deopt count and
-     zero executions) *)
+     when block dispatch actually ran — armed metrics keep block
+     dispatch, so a metrics run reports the same counts as a plain
+     one) *)
   blk_execs : int;  (** blocks entered *)
   blk_builds : int;  (** blocks lowered (cache misses + rebuilds) *)
   blk_insns : int;  (** instructions retired under block dispatch *)
-  blk_deopts : int;  (** quantum tails + metrics/profile/oracle deopts *)
+  blk_deopts : int;  (** quantum tails + profile/oracle deopts *)
 }
 
 let hit_rate ~hits ~misses =

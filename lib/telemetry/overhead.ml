@@ -5,10 +5,11 @@
     address of the original pre-rewrite instruction it serves.  The
     table travels with the binary in a [.lfi_sites] ELF sidecar
     section, and the emulator — when attribution is armed — charges
-    each fetched instruction's issue cost to its site through the
-    allocation-free accumulator below.  [report] then folds the
-    per-site cycles through the symbol table into a byte-stable
-    [lfi-overhead/v1] JSON document.
+    each executed instruction's issue cost to its site through the
+    allocation-free accumulator below (the step path per fetch, the
+    superblock engine per block from site indices recorded at build
+    time).  [report] then folds the per-site cycles through the symbol
+    table into a byte-stable [lfi-overhead/v1] JSON document.
 
     This module is pure data + formatting — the telemetry library has
     no dependencies, so disassembly, symbolization and the
@@ -135,21 +136,28 @@ let create ~(base : int) (sites : site list) : acc =
     }
   end
 
-(** Charge [cost] cycles for the instruction fetched at absolute
-    address [pc].  Instructions outside any site are ignored. *)
-let[@inline] charge (a : acc) (pc : int) (cost : float) =
+(** Site index of the instruction at absolute address [pc], or -1
+    when it is not a rewrite site. *)
+let[@inline] site_at (a : acc) (pc : int) : int =
   let idx = (pc - a.lo) lsr 2 in
   (* negative differences become huge after [lsr], so one unsigned
      bound check covers both ends *)
-  if idx < Array.length a.slot then begin
-    let s = Array.unsafe_get a.slot idx in
-    if s >= 0 then begin
-      Array.unsafe_set a.execs s (Array.unsafe_get a.execs s + 1);
-      Array.unsafe_set a.cycles s (Array.unsafe_get a.cycles s +. cost);
-      Array.unsafe_set a.attributed 0
-        (Array.unsafe_get a.attributed 0 +. cost)
-    end
-  end
+  if idx < Array.length a.slot then Array.unsafe_get a.slot idx else -1
+
+(** Charge [cost] cycles to site [s] for one execution.  Every charge
+    is one float add per cell, so a caller that charges executed site
+    instructions one at a time in program order gets bit-identical
+    totals however it batches them. *)
+let[@inline] charge_site (a : acc) (s : int) (cost : float) =
+  Array.unsafe_set a.execs s (Array.unsafe_get a.execs s + 1);
+  Array.unsafe_set a.cycles s (Array.unsafe_get a.cycles s +. cost);
+  Array.unsafe_set a.attributed 0 (Array.unsafe_get a.attributed 0 +. cost)
+
+(** Charge [cost] cycles for the instruction fetched at absolute
+    address [pc].  Instructions outside any site are ignored. *)
+let[@inline] charge (a : acc) (pc : int) (cost : float) =
+  let s = site_at a pc in
+  if s >= 0 then charge_site a s cost
 
 (** Running total of cycles charged to rewrite sites. *)
 let attributed_cycles (a : acc) = a.attributed.(0)

@@ -352,6 +352,51 @@ let test_elf_roundtrip () =
   | exception Lfi_elf.Elf.Bad_elf _ -> ()
   | _ -> Alcotest.fail "bad magic accepted"
 
+(* [Elf.read] decodes untrusted bytes, so its only failure is
+   [Bad_elf].  Mutate 1-4 bytes of the headers (ELF header, program
+   headers, section headers) of an image that carries every optional
+   section — .symtab, .strtab, .shstrtab and the .lfi_sites sidecar —
+   under a fixed seed; any other exception fails the test. *)
+let test_elf_read_total () =
+  let native =
+    Parser.parse_string_exn
+      "_start:\n\tadr x1, buf\n\tstr x0, [x1]\n\tldr x2, [x1]\n\
+       \tmovz x0, #0\n\tsvc #1\n.data\nbuf:\n\t.quad 0\n"
+  in
+  let rewritten, stats = Lfi_core.Rewriter.rewrite native in
+  let sites =
+    Lfi_core.Rewriter.resolve_sites ~input:native ~output:rewritten stats
+  in
+  let elf = Lfi_elf.Elf.of_image ~sites (Assemble.assemble rewritten) in
+  checkb "image has sites" true (elf.Lfi_elf.Elf.sites <> []);
+  let image = Lfi_elf.Elf.write elf in
+  let len = Bytes.length image in
+  let u16 o = Bytes.get_uint16_le image o in
+  let shoff = Int64.to_int (Bytes.get_int64_le image 40) in
+  (* every header byte: ehdr + phdrs, then the section header table *)
+  let headers =
+    Array.append
+      (Array.init (64 + (u16 56 * u16 54)) Fun.id)
+      (Array.init (min (u16 60 * u16 58) (len - shoff)) (fun i -> shoff + i))
+  in
+  let rng = Random.State.make [| 0x1f |] in
+  let parsed = ref 0 and rejected = ref 0 in
+  for case = 1 to 2000 do
+    let b = Bytes.copy image in
+    for _ = 1 to 1 + Random.State.int rng 4 do
+      let off = headers.(Random.State.int rng (Array.length headers)) in
+      Bytes.set_uint8 b off (Random.State.int rng 256)
+    done;
+    match Lfi_elf.Elf.read b with
+    | _ -> incr parsed
+    | exception Lfi_elf.Elf.Bad_elf _ -> incr rejected
+    | exception e ->
+        Alcotest.failf "case %d: Elf.read raised %s" case
+          (Printexc.to_string e)
+  done;
+  checki "every case parsed or rejected" 2000 (!parsed + !rejected);
+  checkb "some mutants rejected" true (!rejected > 0)
+
 let () =
   Alcotest.run "arm64"
     [
@@ -394,5 +439,6 @@ let () =
           Alcotest.test_case "adr" `Quick test_assemble_adr;
           Alcotest.test_case "errors" `Quick test_assemble_errors;
           Alcotest.test_case "elf roundtrip" `Quick test_elf_roundtrip;
+          Alcotest.test_case "elf read is total" `Quick test_elf_read_total;
         ] );
     ]

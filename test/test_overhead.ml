@@ -33,14 +33,16 @@ let loop_asm =
 
 let o0 = { Lfi_core.Config.default with Lfi_core.Config.opt = Lfi_core.Config.O0 }
 
-(** Rewrite [asm] and build an ELF carrying its [.lfi_sites] table. *)
-let build_sited ?config asm =
-  let native = Parser.parse_string_exn asm in
+(** Rewrite [native] and build an ELF carrying its [.lfi_sites] table. *)
+let build_sited_src ?config native =
   let rewritten, stats = Lfi_core.Rewriter.rewrite ?config native in
   let sites =
     Lfi_core.Rewriter.resolve_sites ~input:native ~output:rewritten stats
   in
   Lfi_elf.Elf.of_image ~sites (Assemble.assemble rewritten)
+
+let build_sited ?config asm =
+  build_sited_src ?config (Parser.parse_string_exn asm)
 
 let show_site (s : Overhead.site) =
   Printf.sprintf "%x:%s:%b:%x" s.Overhead.pc
@@ -103,11 +105,8 @@ let test_sitefree_unchanged () =
 
 (* ---------------- accumulator ---------------- *)
 
-let run_loop ?(blocks = None) ~overhead () =
+let run_loop ~overhead () =
   let rt = Lfi_runtime.Runtime.create () in
-  (match blocks with
-  | Some b -> rt.Lfi_runtime.Runtime.machine.Lfi_emulator.Machine.blocks_enabled <- b
-  | None -> ());
   let elf = build_sited ~config:o0 loop_asm in
   let p = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
   if overhead then ignore (Lfi_runtime.Runtime.enable_overhead rt p);
@@ -130,46 +129,107 @@ let test_off_by_default () =
       checkb "cycle count unperturbed" (c0 = c1) true;
       checki "insn count unperturbed" i0 i1
 
-let accounting_string blocks =
-  let rt, _, _, _ = run_loop ~blocks:(Some blocks) ~overhead:true () in
-  match Lfi_runtime.Runtime.overhead_acc rt with
-  | None -> Alcotest.fail "no accumulator"
-  | Some a ->
-      String.concat ","
-        (Array.to_list
-           (Array.mapi
-              (fun i (s : Overhead.site) ->
-                Printf.sprintf "%x=%d:%.4f" s.Overhead.pc
-                  a.Overhead.execs.(i) a.Overhead.cycles.(i))
-              a.Overhead.sites))
+(* Attribution scenarios beyond the happy path.  Armed attribution
+   keeps block dispatch (blocks lowered while it is armed carry each
+   slot's site index), so every scenario must account identically in
+   both dispatch modes. *)
+type scenario = {
+  sc_name : string;
+  sc_elf : unit -> Lfi_elf.Elf.t;
+  sc_warm : bool;
+      (** run part of the program unobserved first, so blocks are
+          already lowered when attribution is armed *)
+}
+
+let crashy_sited () =
+  match Lfi_workloads.Registry.find "crashy" with
+  | None -> Alcotest.fail "crashy workload not registered"
+  | Some w ->
+      build_sited_src ~config:o0
+        (Lfi_minic.Compile.compile w.Lfi_workloads.Common.program)
+
+let scenarios =
+  [ { sc_name = "cold"; sc_elf = (fun () -> build_sited ~config:o0 loop_asm);
+      sc_warm = false };
+    { sc_name = "armed warm";
+      sc_elf = (fun () -> build_sited ~config:o0 loop_asm); sc_warm = true };
+    { sc_name = "faulting"; sc_elf = crashy_sited; sc_warm = false } ]
+
+(* Run [sc] with attribution (and, with [~metrics], the counters)
+   armed; returns the elf, the accumulator and the counters. *)
+let run_scenario ~blocks ~metrics sc =
+  let rt = Lfi_runtime.Runtime.create () in
+  let m = rt.Lfi_runtime.Runtime.machine in
+  m.Lfi_emulator.Machine.blocks_enabled <- blocks;
+  let elf = sc.sc_elf () in
+  let p = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
+  if sc.sc_warm then begin
+    Lfi_emulator.Machine.restore m p.Lfi_runtime.Proc.snapshot;
+    (match Lfi_emulator.Exec.run m ~quantum:200 with
+    | Lfi_emulator.Exec.Quantum_expired -> ()
+    | _ -> Alcotest.fail "warm-up left the loop");
+    if blocks then
+      checkb (sc.sc_name ^ ": blocks lowered before arming") true
+        (m.Lfi_emulator.Machine.blk_builds > 0)
+  end;
+  let e =
+    if metrics then Some (Lfi_runtime.Runtime.enable_metrics rt) else None
+  in
+  let a =
+    match Lfi_runtime.Runtime.enable_overhead rt p with
+    | None -> Alcotest.fail "no sites to arm"
+    | Some a -> a
+  in
+  let execs0 = m.Lfi_emulator.Machine.blk_execs in
+  ignore (Lfi_runtime.Runtime.run_one rt p);
+  if blocks then
+    checkb (sc.sc_name ^ ": block dispatch with attribution armed") true
+      (m.Lfi_emulator.Machine.blk_execs > execs0);
+  (elf, a, e)
+
+let accounting_string ~blocks sc =
+  let _, a, _ = run_scenario ~blocks ~metrics:false sc in
+  String.concat ","
+    (Array.to_list
+       (Array.mapi
+          (fun i (s : Overhead.site) ->
+            Printf.sprintf "%x=%d:%h" s.Overhead.pc a.Overhead.execs.(i)
+              a.Overhead.cycles.(i))
+          a.Overhead.sites))
+  ^ Printf.sprintf ";attributed=%h" (Overhead.attributed_cycles a)
 
 let test_dispatch_determinism () =
-  (* arming overhead deopts the superblock engine, so both settings of
-     the kill switch must produce bit-identical per-site accounting *)
-  checks "identical accounting across dispatch modes"
-    (accounting_string true) (accounting_string false)
+  (* blocks charge each executed site instruction's cost in program
+     order, so both settings of the kill switch must produce
+     bit-identical per-site accounting *)
+  List.iter
+    (fun sc ->
+      checks
+        (sc.sc_name ^ ": identical accounting across dispatch modes")
+        (accounting_string ~blocks:false sc)
+        (accounting_string ~blocks:true sc))
+    scenarios
 
 let test_guard_reconciliation () =
-  let rt = Lfi_runtime.Runtime.create () in
-  let e = Lfi_runtime.Runtime.enable_metrics rt in
-  let elf = build_sited ~config:o0 loop_asm in
-  let p = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
-  (match Lfi_runtime.Runtime.enable_overhead rt p with
-  | None -> Alcotest.fail "no sites to arm"
-  | Some _ -> ());
-  ignore (Lfi_runtime.Runtime.run_one rt p);
-  match Lfi_runtime.Runtime.overhead_acc rt with
-  | None -> Alcotest.fail "no accumulator"
-  | Some a ->
-      let guard_execs = ref 0 in
-      Array.iteri
-        (fun i (s : Overhead.site) ->
-          if is_guard_insn elf s.Overhead.pc then
-            guard_execs := !guard_execs + a.Overhead.execs.(i))
-        a.Overhead.sites;
-      checki "site guard execs equal the aggregate guard counter"
-        e.Lfi_telemetry.Metrics.guards !guard_execs;
-      checkb "guards actually executed" (!guard_execs > 0) true
+  List.iter
+    (fun blocks ->
+      List.iter
+        (fun sc ->
+          let name = Printf.sprintf "%s, blocks %b" sc.sc_name blocks in
+          let elf, a, e = run_scenario ~blocks ~metrics:true sc in
+          let e = Option.get e in
+          let guard_execs = ref 0 in
+          Array.iteri
+            (fun i (s : Overhead.site) ->
+              if is_guard_insn elf s.Overhead.pc then
+                guard_execs := !guard_execs + a.Overhead.execs.(i))
+            a.Overhead.sites;
+          checki
+            (name ^ ": site guard execs equal the aggregate guard counter")
+            e.Lfi_telemetry.Metrics.guards !guard_execs;
+          checkb (name ^ ": guards actually executed") (!guard_execs > 0) true)
+        scenarios)
+    [ true; false ]
 
 (* ---------------- report ---------------- *)
 

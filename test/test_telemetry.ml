@@ -114,6 +114,165 @@ let test_metrics_json_shape () =
       "\"exit\"";
     ]
 
+(* ---------------- metrics parity across dispatch modes ---------------- *)
+
+(* Armed metrics keep block dispatch: a block charges its static
+   tallies after it runs (or its retired prefix after a fault or a
+   self-invalidation), so every counter must equal the step path's. *)
+
+let show_emu (e : Lfi_telemetry.Metrics.emu) =
+  let open Lfi_telemetry.Metrics in
+  Printf.sprintf
+    "decode %d/%d inval %d faults %d loads %d stores %d branches %d guards \
+     %d other %d"
+    e.decode_hits e.decode_misses e.decode_invalidations e.faults e.loads
+    e.stores e.branches e.guards e.other
+
+(* Run [f] on a fresh machine in each dispatch mode with metrics armed;
+   [f] returns the machine it ran, the live counters and the number of
+   instructions retired while they were armed.  Block mode must really
+   have dispatched blocks (no deopt), and both modes must agree on
+   every counter and on the instruction count. *)
+let check_parity name
+    (f : unit -> Lfi_emulator.Machine.t * Lfi_telemetry.Metrics.emu * int) =
+  let in_mode v =
+    let saved = !Lfi_emulator.Machine.superblocks_default in
+    Lfi_emulator.Machine.superblocks_default := v;
+    Fun.protect
+      ~finally:(fun () -> Lfi_emulator.Machine.superblocks_default := saved)
+      f
+  in
+  let mb, eb, nb = in_mode true and ms, es, _ = in_mode false in
+  checkb (name ^ ": blocks ran with metrics armed") true
+    (mb.Lfi_emulator.Machine.blk_execs > 0);
+  checki (name ^ ": insns") ms.Lfi_emulator.Machine.insns
+    mb.Lfi_emulator.Machine.insns;
+  checks (name ^ ": counters") (show_emu es) (show_emu eb);
+  checki (name ^ ": every retired insn counted once") nb
+    (eb.Lfi_telemetry.Metrics.decode_hits
+    + eb.Lfi_telemetry.Metrics.decode_misses)
+
+let runtime_parity (elf : unit -> Lfi_elf.Elf.t) () =
+  let rt = Lfi_runtime.Runtime.create () in
+  let e = Lfi_runtime.Runtime.enable_metrics rt in
+  let p =
+    Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi (elf ())
+  in
+  ignore (Lfi_runtime.Runtime.run_one rt p);
+  let m = rt.Lfi_runtime.Runtime.machine in
+  (m, e, m.Lfi_emulator.Machine.insns)
+
+let test_parity_loop () =
+  check_parity "loop" (runtime_parity (fun () -> build ~config:o0 loop_asm))
+
+(* Metrics armed after part of the program ran unobserved: the blocks
+   lowered by then get their tallies when metrics are armed. *)
+let test_parity_armed_warm () =
+  check_parity "armed warm" (fun () ->
+      let rt = Lfi_runtime.Runtime.create () in
+      let p =
+        Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
+          (build ~config:o0 loop_asm)
+      in
+      let m = rt.Lfi_runtime.Runtime.machine in
+      Lfi_emulator.Machine.restore m p.Lfi_runtime.Proc.snapshot;
+      (match Lfi_emulator.Exec.run m ~quantum:200 with
+      | Lfi_emulator.Exec.Quantum_expired -> ()
+      | _ -> Alcotest.fail "warm-up left the loop");
+      if m.Lfi_emulator.Machine.blocks_enabled then
+        checkb "blocks lowered before arming" true
+          (m.Lfi_emulator.Machine.blk_builds > 0);
+      let warm = m.Lfi_emulator.Machine.insns in
+      let e = Lfi_runtime.Runtime.enable_metrics rt in
+      ignore (Lfi_runtime.Runtime.run_one rt p);
+      (m, e, m.Lfi_emulator.Machine.insns - warm))
+
+(* crashy faults mid-block (a wild read from inside a lowered body),
+   after which lowering has decoded words that never run *)
+let test_parity_crashy () =
+  let elf () =
+    match Lfi_workloads.Registry.find "crashy" with
+    | None -> Alcotest.fail "crashy workload not registered"
+    | Some w ->
+        let src = Lfi_minic.Compile.compile w.Lfi_workloads.Common.program in
+        Lfi_elf.Elf.of_image
+          (Assemble.assemble (fst (Lfi_core.Rewriter.rewrite src)))
+  in
+  check_parity "crashy" (fun () ->
+      let m, e, n = runtime_parity elf () in
+      checki "crashy faulted once" 1 e.Lfi_telemetry.Metrics.faults;
+      (m, e, n))
+
+(* A block on a W+X page that patches its own next instruction: the
+   store invalidates the block mid-body, execution resumes at the
+   patched word, and a second run replays the patched code from the
+   caches. *)
+let test_parity_self_modifying () =
+  let open Lfi_emulator in
+  let word asm =
+    Int32.to_int
+      (Bytes.get_int32_le (Assemble.assemble_string asm).Assemble.text 0)
+    land 0xffffffff
+  in
+  let w = word "_start:\n\tmovz x0, #3\n" in
+  let code =
+    (Assemble.assemble_string
+       (Printf.sprintf
+          "_start:\n\tadr x1, patch\n\tmovz w2, #%d\n\
+           \tmovk w2, #%d, lsl #16\n\tstr w2, [x1]\n\
+           patch:\n\tmovz x0, #1\n\tsvc #1\n"
+          (w land 0xffff) (w lsr 16)))
+      .Assemble.text
+  in
+  check_parity "self-modifying" (fun () ->
+      let mem = Memory.create () in
+      let m = Machine.create mem in
+      let e = Lfi_telemetry.Metrics.create_emu () in
+      Block.arm_metrics m e;
+      let base = 0x10000L in
+      Memory.map mem ~addr:base ~len:Memory.page_size
+        ~perm:{ Memory.r = true; w = true; x = true };
+      for _ = 1 to 2 do
+        Memory.write_bytes mem base code;
+        m.Machine.pc <- base;
+        match Exec.run m ~quantum:100 with
+        | Exec.Trap (Exec.Svc_trap 1) ->
+            checki "patched code ran" 3 (Int64.to_int m.Machine.regs.(0))
+        | _ -> Alcotest.fail "did not reach svc #1"
+      done;
+      checkb "the store invalidated decoded code" true
+        (e.Lfi_telemetry.Metrics.decode_invalidations > 0);
+      (m, e, m.Machine.insns))
+
+(* A libbox call killed by its instruction budget: the last quantum is
+   shorter than the next block, so block mode single-steps the tail. *)
+let test_parity_budget_kill () =
+  check_parity "budget kill" (fun () ->
+      let rt =
+        Lfi_runtime.Runtime.create
+          ~config:{ Lfi_runtime.Runtime.default_config with verify = false }
+          ()
+      in
+      let e = Lfi_runtime.Runtime.enable_metrics rt in
+      let lib =
+        Lfi_libbox.Library.create ~name:"xzbox"
+          ~exports:[ "checksum" ]
+          Lfi_workloads.Libs.xzbox.Lfi_libbox.Api.l_program
+      in
+      let inst = Lfi_libbox.Instance.create ~insn_budget:20_000 rt lib in
+      (match
+         Lfi_libbox.Instance.call inst "checksum"
+           [ Lfi_libbox.Api.In (Bytes.make 20_000 'x');
+             Lfi_libbox.Api.I 20_000L ]
+       with
+      | Error (Lfi_libbox.Api.Killed _) -> ()
+      | _ -> Alcotest.fail "runaway not killed");
+      let m = rt.Lfi_runtime.Runtime.machine in
+      if m.Lfi_emulator.Machine.blocks_enabled then
+        checkb "quantum tails single-stepped" true
+          (m.Lfi_emulator.Machine.blk_deopts > 0);
+      (m, e, m.Lfi_emulator.Machine.insns))
+
 (* ---------------- trace determinism ---------------- *)
 
 let trace_of_run () =
@@ -351,6 +510,15 @@ let () =
           Alcotest.test_case "off by default" `Quick test_metrics_off_by_default;
           Alcotest.test_case "golden counters" `Quick test_metrics_golden;
           Alcotest.test_case "json shape" `Quick test_metrics_json_shape;
+        ] );
+      ( "metrics-parity",
+        [
+          Alcotest.test_case "loop" `Quick test_parity_loop;
+          Alcotest.test_case "armed warm" `Quick test_parity_armed_warm;
+          Alcotest.test_case "mid-block fault" `Quick test_parity_crashy;
+          Alcotest.test_case "self-modifying block" `Quick
+            test_parity_self_modifying;
+          Alcotest.test_case "budget kill" `Quick test_parity_budget_kill;
         ] );
       ( "trace",
         [
