@@ -1,4 +1,4 @@
-.PHONY: all build check test bench bench-json bench-compare serve-bench serve-trace-demo crash-demo trace-demo observer-parity fuzz-smoke fuzz prove-smoke prove loc clean
+.PHONY: all build check test bench bench-json bench-compare serve-bench density-smoke serve-trace-demo crash-demo trace-demo observer-parity fuzz-smoke fuzz prove-smoke prove loc clean
 
 all: build
 
@@ -37,6 +37,21 @@ serve-bench:
 	  --pool 4 --seed 1 --json BENCH_serve.json \
 	  --snapshot=BENCH_serve_snap.jsonl --snapshot-every 250 \
 	  --suite --knee-json BENCH_serve_knee.json
+
+# Density gate: serve 2000 xzbox requests from a pool of 1024 warm
+# instances and fail if the process's peak RSS exceeds 1 GiB.  Sandbox
+# pages are copy-on-write, so this needs about 300 MB; copying every
+# page eagerly needed about 4.5 GB.  Peak RSS is an amount of memory,
+# not a timing.
+density-smoke:
+	dune build bin/lfi_serve.exe
+	python3 -c 'import resource, subprocess, sys; \
+	  subprocess.run(sys.argv[1:], check=True); \
+	  mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024; \
+	  print("peak RSS %d MiB (limit 1024 MiB)" % mb); \
+	  sys.exit(mb > 1024)' \
+	  ./_build/default/bin/lfi_serve.exe --workload xzbox --pool 1024 \
+	  --requests 2000 --seed 1 --json /dev/null
 
 # Serving observability demo: serve the slowbox workload (whose rare
 # `grind` export deliberately blows its latency SLO), writing a

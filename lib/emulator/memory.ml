@@ -1,4 +1,4 @@
-(** Sparse, page-protected 64-bit memory.
+(** Sparse, page-protected 64-bit memory with copy-on-write pages.
 
     Pages are 16KiB — the page size on Apple ARM64 machines, which is
     why the paper sizes guard regions at 48KiB (the smallest multiple of
@@ -9,8 +9,25 @@
     The page table is keyed first by 4GiB {e region} (the top 32 bits
     of an address — exactly one sandbox slot) and then by page index,
     so everything that works on one slot's pages ({!region_pages},
-    {!place_page}) costs O(pages of that region), never O(pages mapped
-    in the whole address space).
+    {!place_page}, {!take_changes}) costs O(pages of that region),
+    never O(pages mapped in the whole address space).
+
+    Page data is copy-on-write, as the OS provides it to the paper's
+    runtime (§4.4, §5.3).  A fresh mapping points at one shared
+    {!zero_page}; a libbox baseline ({!mark_clean}) and a forked twin
+    ({!share_page}) keep a page's buffer by reference.  A page whose
+    buffer may be referenced elsewhere is {e shared}, and so is a page
+    that is {e clean} (unchanged since its region was last marked
+    clean, so its first write must be recorded); for both, the
+    translation cache holds the page's permissions without W.  The
+    first write therefore takes the cold miss / fault branch of
+    {!get_page}, which gives a shared page a private copy, records a
+    clean page in its region's change set, and only then grants W — or
+    faults exactly as before if the page is not writable.  Map, unmap
+    and protect record the pages they touch too, so
+    {!take_changes} names every page a reset must look at.  Invariant:
+    every write to page data goes through {!get_page} or
+    {!place_page}.
 
     Lookups go through a direct-mapped {e translation cache}: an
     [tc_size]-entry array keyed by page index whose entries hold the
@@ -39,13 +56,14 @@ let perm_rx = { r = true; w = false; x = true }
 
 type page = {
   mutable perm : perm;
-  data : Bytes.t;
-  mutable dirty : bool;
-      (** set on every store into the page; consumers (snapshot-based
-          reset, see [lib/libbox]) clear it at their baseline and later
-          restore only pages whose flag came back on.  A single
-          unconditional store on the write path — cheaper than any
-          branch or handle indirection. *)
+  mutable data : Bytes.t;
+  mutable shared : bool;
+      (** [data] may be referenced elsewhere (the {!zero_page}, a
+          baseline, a forked twin): the first write copies it *)
+  mutable clean : bool;
+      (** unchanged since the region was last marked clean
+          ({!mark_clean}, {!place_page}): the first write records the
+          page in the region's change set *)
 }
 
 type access = Read | Write | Fetch
@@ -75,24 +93,42 @@ let perm_bits (p : perm) =
   lor (if p.w then pb_w else 0)
   lor if p.x then pb_x else 0
 
+(* What the translation cache grants: the page's permissions, less W
+   while the first write must still be trapped. *)
+let tc_bits_of (p : page) =
+  if p.shared || p.clean then perm_bits p.perm land lnot pb_w
+  else perm_bits p.perm
+
 (* Translation-cache geometry: 256 entries x 16KiB pages = 4MiB of
    reach, comfortably covering a proxy workload's working set. *)
 let tc_size = 256
 let tc_mask = tc_size - 1
 
+(** The one all-zero buffer every freshly mapped page shares until its
+    first write.  Never written: a shared page is copied first. *)
+let zero_page = Bytes.make page_size '\000'
+
 let dummy_page =
   { perm = { r = false; w = false; x = false };
     data = Bytes.create 0;
-    dirty = false }
+    shared = true;
+    clean = false }
+
+type region = {
+  pages : (int, page) Hashtbl.t;  (** page index -> page *)
+  changed : (int, unit) Hashtbl.t;
+      (** page indices written, mapped, unmapped or re-protected since
+          the last {!take_changes} or {!mark_clean} *)
+}
 
 type t = {
-  regions : (int, (int, page) Hashtbl.t) Hashtbl.t;
-      (** region index -> (page index -> page); a region's table is
-          created by its first mapping and kept after its last unmap *)
+  regions : (int, region) Hashtbl.t;
+      (** region index -> its pages; a region is created by its first
+          mapping and kept after its last unmap *)
   (* direct-mapped translation cache, keyed by page index *)
   tc_idx : int array;  (** cached page index per slot; -1 = invalid *)
   tc_page : page array;  (** valid iff [tc_idx] matches *)
-  tc_bits : int array;  (** [perm_bits] of the cached page *)
+  tc_bits : int array;  (** [tc_bits_of] the cached page *)
   mutable tc_hits : int;
       (** translation-cache hit/miss counters; flat mutable ints kept
           unconditionally, like {!Tlb.t}'s — an increment is cheaper
@@ -127,42 +163,46 @@ let code_changed m (addr : int64) (len : int) = m.on_code_change addr len
 
 let page_addr (idx : int) = Int64.shift_left (Int64.of_int idx) page_bits
 
-(* The page table (page index -> page) of the region holding page
-   [idx], if any page of that region was ever mapped. *)
+(* The region holding page [idx], if any page of it was ever mapped. *)
 let region_opt m (idx : int) = Hashtbl.find_opt m.regions (idx lsr region_shift)
 
 (* The same, created empty if the region has none yet. *)
 let region_of m (idx : int) =
   match region_opt m idx with
-  | Some tbl -> tbl
+  | Some r -> r
   | None ->
-      let tbl = Hashtbl.create 256 in
-      Hashtbl.replace m.regions (idx lsr region_shift) tbl;
-      tbl
+      let r = { pages = Hashtbl.create 256; changed = Hashtbl.create 16 } in
+      Hashtbl.replace m.regions (idx lsr region_shift) r;
+      r
 
-(** The page table of the region holding [addr], for a caller that
-    probes many of one slot's pages and should look the region up
-    once.  Map and unmap through this module, not through the table. *)
-let region m (addr : int64) = region_of m (page_index addr)
+let record (r : region) (idx : int) = Hashtbl.replace r.changed idx ()
 
 let find_page_by_index m (idx : int) =
   match region_opt m idx with
-  | Some tbl -> Hashtbl.find_opt tbl idx
+  | Some r -> Hashtbl.find_opt r.pages idx
+  | None -> None
+
+(* The region and page at page index [idx], if it is mapped. *)
+let lookup m (idx : int) =
+  match region_opt m idx with
+  | Some r -> Option.map (fun p -> (r, p)) (Hashtbl.find_opt r.pages idx)
   | None -> None
 
 (** Map [len] bytes starting at [addr] (both page-aligned) with [perm].
-    Already-mapped pages are re-protected, not cleared. *)
+    New pages share {!zero_page}; already-mapped pages are re-protected,
+    not cleared. *)
 let map m ~(addr : int64) ~(len : int) ~(perm : perm) =
   if page_offset addr <> 0 then invalid_arg "Memory.map: unaligned address";
   if len mod page_size <> 0 then invalid_arg "Memory.map: unaligned length";
   let first = page_index addr in
   for i = first to first + (len / page_size) - 1 do
-    let tbl = region_of m i in
-    match Hashtbl.find_opt tbl i with
+    let r = region_of m i in
+    (match Hashtbl.find_opt r.pages i with
     | Some p -> p.perm <- perm
     | None ->
-        Hashtbl.replace tbl i
-          { perm; data = Bytes.make page_size '\000'; dirty = true }
+        Hashtbl.replace r.pages i
+          { perm; data = zero_page; shared = true; clean = false });
+    record r i
   done;
   tc_flush m;
   code_changed m addr len
@@ -172,7 +212,11 @@ let unmap m ~(addr : int64) ~(len : int) =
     invalid_arg "Memory.unmap: unaligned";
   let first = page_index addr in
   for i = first to first + (len / page_size) - 1 do
-    Option.iter (fun tbl -> Hashtbl.remove tbl i) (region_opt m i)
+    match lookup m i with
+    | Some (r, _) ->
+        Hashtbl.remove r.pages i;
+        record r i
+    | None -> ()
   done;
   tc_flush m;
   code_changed m addr len
@@ -187,29 +231,61 @@ let protect m ~(addr : int64) ~(len : int) ~(perm : perm) =
     let first = page_index addr in
     let last = page_index (Int64.add addr (Int64.of_int (len - 1))) in
     for i = first to last do
-      match find_page_by_index m i with
-      | Some p -> p.perm <- perm
+      match lookup m i with
+      | Some (r, p) ->
+          p.perm <- perm;
+          record r i
       | None -> invalid_arg "Memory.protect: unmapped page"
     done;
     tc_flush m;
     code_changed m addr len
   end
 
-(** Map page [idx] holding a copy of [data] (one page long) with
-    [perm], clean (dirty flag off): a fresh page, or an existing one
-    overwritten and re-protected.  One translation-cache flush and one
-    code invalidation, however the page got there — the primitive
-    behind fork's slot copy and reset's re-mapping. *)
+(** Map page [idx] holding [data] (one page long) with [perm], clean:
+    a fresh page, or an existing one overwritten and re-protected.  A
+    page that has a private buffer keeps it and [data] is copied in;
+    otherwise the page shares [data] by reference, so the caller must
+    not write [data] afterwards.  The primitive behind fork's page
+    sharing ({!share_page}) and reset's restore; like {!mark_clean} it
+    sets the state later changes are measured from, so it records
+    nothing.  A re-protection flushes the translation cache; an
+    unchanged permission only re-arms the page's own entry.  Code
+    invalidation fires for a re-protection, a new page or an executable
+    page. *)
 let place_page m (idx : int) ~(perm : perm) (data : bytes) =
-  let tbl = region_of m idx in
-  (match Hashtbl.find_opt tbl idx with
-  | Some p ->
-      Bytes.blit data 0 p.data 0 page_size;
-      p.perm <- perm;
-      p.dirty <- false
-  | None -> Hashtbl.replace tbl idx { perm; data = Bytes.copy data; dirty = false });
-  tc_flush m;
-  code_changed m (page_addr idx) page_size
+  let r = region_of m idx in
+  let same_perm =
+    match Hashtbl.find_opt r.pages idx with
+    | Some p ->
+        if p.shared then p.data <- data
+        else Bytes.blit data 0 p.data 0 page_size;
+        p.clean <- true;
+        let same = p.perm = perm in
+        p.perm <- perm;
+        same
+    | None ->
+        Hashtbl.replace r.pages idx { perm; data; shared = true; clean = true };
+        false
+  in
+  if same_perm then begin
+    let slot = idx land tc_mask in
+    if m.tc_idx.(slot) = idx then
+      m.tc_bits.(slot) <- m.tc_bits.(slot) land lnot pb_w;
+    if perm.x then code_changed m (page_addr idx) page_size
+  end
+  else begin
+    tc_flush m;
+    code_changed m (page_addr idx) page_size
+  end
+
+(** Map page [dst] as a copy-on-write twin of the mapped page [src]:
+    both share [src]'s buffer, and each copies it on its first write.
+    The whole translation cache is flushed, so no W bit cached for
+    [src] survives. *)
+let share_page m (src : page) (dst : int) =
+  src.shared <- true;
+  place_page m dst ~perm:src.perm src.data;
+  tc_flush m
 
 (** The mapped pages of the region holding [addr], as
     [(page index, page)] in ascending index order.  O(pages of that
@@ -218,12 +294,91 @@ let place_page m (idx : int) ~(perm : perm) (data : bytes) =
 let region_pages m (addr : int64) : (int * page) list =
   match region_opt m (page_index addr) with
   | None -> []
-  | Some tbl ->
-      List.of_seq (Hashtbl.to_seq tbl)
+  | Some r ->
+      List.of_seq (Hashtbl.to_seq r.pages)
       |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
+(** Make the current contents of [addr]'s region the state its changes
+    are measured from: every page turns clean and shared (so the caller
+    may keep each page's [data] by reference, as a baseline) and the
+    change set is emptied.  Returns {!region_pages}. *)
+let mark_clean m (addr : int64) : (int * page) list =
+  Option.iter (fun r -> Hashtbl.clear r.changed) (region_opt m (page_index addr));
+  let pages = region_pages m addr in
+  List.iter
+    (fun (_, p) ->
+      p.shared <- true;
+      p.clean <- true)
+    pages;
+  tc_flush m;
+  pages
+
+(** The pages of [addr]'s region written, mapped, unmapped or
+    re-protected since the last call or {!mark_clean}, in ascending
+    index order; the change set is emptied.  A page is recorded once
+    however often it was written. *)
+let take_changes m (addr : int64) : int list =
+  match region_opt m (page_index addr) with
+  | None -> []
+  | Some r ->
+      let l = Hashtbl.fold (fun i () acc -> i :: acc) r.changed [] in
+      Hashtbl.clear r.changed;
+      List.sort Int.compare l
+
+(** How many mapped pages of [addr]'s region hold a private buffer
+    rather than sharing one. *)
+let private_pages m (addr : int64) : int =
+  match region_opt m (page_index addr) with
+  | None -> 0
+  | Some r ->
+      Hashtbl.fold (fun _ p n -> if p.shared then n else n + 1) r.pages 0
+
+let no_permission = function
+  | Read -> "no read permission"
+  | Write -> "no write permission"
+  | Fetch -> "not executable"
+
+(* The first write to a writable shared or clean page: a private copy
+   for a shared page, the change set for a clean one. *)
+let first_write m (idx : int) (p : page) =
+  if p.shared then begin
+    p.data <- Bytes.copy p.data;
+    p.shared <- false
+  end;
+  if p.clean then begin
+    p.clean <- false;
+    record (region_of m idx) idx
+  end
+
+(* Everything but a permitted translation-cache hit: a miss, a
+   permission fault, or the first write to a shared or clean page.  Hit
+   and miss counts are those of the probe, as if the hit path had
+   taken the access. *)
+let[@inline never] get_page_slow m (addr : int64) (access : access) (idx : int)
+    (bit : int) : page =
+  let slot = idx land tc_mask in
+  let p =
+    if m.tc_idx.(slot) = idx then begin
+      m.tc_hits <- m.tc_hits + 1;
+      m.tc_page.(slot)
+    end
+    else begin
+      m.tc_misses <- m.tc_misses + 1;
+      match find_page_by_index m idx with
+      | None -> fault addr access "unmapped"
+      | Some p -> p
+    end
+  in
+  if bit = pb_w && p.perm.w then first_write m idx p;
+  let bits = tc_bits_of p in
+  m.tc_idx.(slot) <- idx;
+  m.tc_page.(slot) <- p;
+  m.tc_bits.(slot) <- bits;
+  if bits land bit = 0 then fault addr access (no_permission access);
+  p
+
 (* The translation-cache lookup: one array probe + one bit test on a
-   hit; misses fill the slot from the page table.  The page index is
+   hit; everything else goes to [get_page_slow].  The page index is
    computed with untagged int arithmetic (addresses fit in 63 bits, and
    [lsr] on a negative int still yields the non-negative index the
    unmapped-page fault path expects). *)
@@ -231,32 +386,13 @@ let[@inline] get_page m (addr : int64) (access : access) : page =
   let idx = Int64.to_int addr lsr page_bits in
   let slot = idx land tc_mask in
   let bit = match access with Read -> pb_r | Write -> pb_w | Fetch -> pb_x in
-  if Array.unsafe_get m.tc_idx slot = idx then begin
+  if Array.unsafe_get m.tc_idx slot = idx
+     && Array.unsafe_get m.tc_bits slot land bit <> 0
+  then begin
     m.tc_hits <- m.tc_hits + 1;
-    if Array.unsafe_get m.tc_bits slot land bit = 0 then
-      fault addr access
-        (match access with
-        | Read -> "no read permission"
-        | Write -> "no write permission"
-        | Fetch -> "not executable");
     Array.unsafe_get m.tc_page slot
   end
-  else begin
-    m.tc_misses <- m.tc_misses + 1;
-    match find_page_by_index m idx with
-    | None -> fault addr access "unmapped"
-    | Some p ->
-        m.tc_idx.(slot) <- idx;
-        m.tc_page.(slot) <- p;
-        m.tc_bits.(slot) <- perm_bits p.perm;
-        if perm_bits p.perm land bit = 0 then
-          fault addr access
-            (match access with
-            | Read -> "no read permission"
-            | Write -> "no write permission"
-            | Fetch -> "not executable");
-        p
-  end
+  else get_page_slow m addr access idx bit
 
 (* Writes into an executable page must invalidate decoded instructions
    covering it.  Pages are almost never writable+executable, so the
@@ -272,7 +408,6 @@ let read_u8 m addr =
 
 let write_u8 m addr v =
   let p = get_page m addr Write in
-  p.dirty <- true;
   wx_invalidate m p addr 1;
   Bytes.set_uint8 p.data (page_offset addr) v
 
@@ -303,7 +438,6 @@ let write m (addr : int64) (size : int) (v : int64) =
   let off = page_offset addr in
   if off + size <= page_size then begin
     let p = get_page m addr Write in
-    p.dirty <- true;
     wx_invalidate m p addr size;
     match size with
     | 8 -> Bytes.set_int64_le p.data off v
@@ -325,12 +459,28 @@ let fetch m (addr : int64) : int =
   let p = get_page m addr Fetch in
   Int32.to_int (Bytes.get_int32_le p.data (page_offset addr)) land 0xFFFFFFFF
 
-(** Bulk copy-in (for loaders). *)
+(* [f addr pos n] for each page-bounded chunk of [addr, addr+len) in
+   ascending order: [n] bytes at [addr + pos], all on one page. *)
+let iter_chunks (addr : int64) (len : int) f =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = Int64.add addr (Int64.of_int !pos) in
+    let n = min (len - !pos) (page_size - page_offset a) in
+    f a !pos n;
+    pos := !pos + n
+  done
+
+(** Bulk copy-in (loaders, runtime calls, libbox marshalling): one
+    blit per page, in ascending order.  A fault names the first
+    inaccessible address, with every byte before it written. *)
 let write_bytes m (addr : int64) (b : bytes) =
-  Bytes.iteri
-    (fun i c -> write_u8 m (Int64.add addr (Int64.of_int i)) (Char.code c))
-    b
+  iter_chunks addr (Bytes.length b) (fun a pos n ->
+      let p = get_page m a Write in
+      wx_invalidate m p a n;
+      Bytes.blit b pos p.data (page_offset a) n)
 
 let read_bytes m (addr : int64) (len : int) : bytes =
-  Bytes.init len (fun i ->
-      Char.chr (read_u8 m (Int64.add addr (Int64.of_int i))))
+  let b = Bytes.create len in
+  iter_chunks addr len (fun a pos n ->
+      Bytes.blit (get_page m a Read).data (page_offset a) b pos n);
+  b

@@ -14,10 +14,12 @@
     accounted per call into a log2 histogram.
 
     {b Reset.}  At creation (after the optional init export) the
-    instance captures a baseline: a copy of every mapped page of its
-    slot plus the heap break, with the pages' dirty flags cleared.
-    [reset] restores exactly the pages whose dirty flag came back on,
-    unmaps pages the request mapped, remaps pages it unmapped, and
+    instance captures a baseline: every mapped page of its slot, kept by
+    reference (the pages turn copy-on-write, {!Memory.mark_clean}),
+    plus the heap break.  The memory system records each page the
+    request writes, maps, unmaps or re-protects; [reset] walks only
+    those, restoring written or re-protected baseline pages, putting
+    back unmapped ones and unmapping pages the request mapped, then
     rewinds the fd table and heap break — so no request can observe a
     previous request's writes (test-enforced). *)
 
@@ -33,7 +35,8 @@ type t = {
   arena_base : int64;  (** absolute base of the marshalling arena *)
   arena_len : int;
   insn_budget : int;  (** per-call runaway limit *)
-  pristine : (int, pristine) Hashtbl.t;  (** page index → baseline copy *)
+  pristine : (int, pristine) Hashtbl.t;
+      (** page index → baseline bytes (shared) and permission *)
   mutable baseline : Machine.snapshot;
   mutable heap_end0 : int64;
   mutable alive : bool;
@@ -45,66 +48,52 @@ type t = {
   mutable calls : int;
   mutable resets : int;
   mutable call_insns : int;  (** total sandboxed instructions across calls *)
-  mutable pages_restored : int;  (** dirty pages rewound across resets *)
+  mutable pages_restored : int;  (** changed pages rewound across resets *)
 }
 
 let page = Memory.page_size
 
-(** Snapshot the slot's current memory as the reset baseline and clear
-    the dirty flags, so [reset] touches only pages written since. *)
+(** Take the slot's current memory as the reset baseline: each page's
+    bytes by reference (nothing is copied; the pages turn
+    copy-on-write) and its permission, so [reset] looks only at pages
+    changed since. *)
 let capture_baseline (inst : t) =
   Hashtbl.reset inst.pristine;
   List.iter
     (fun (idx, pg) ->
       Hashtbl.replace inst.pristine idx
-        { pg_bytes = Bytes.copy pg.Memory.data; pg_perm = pg.Memory.perm };
-      pg.Memory.dirty <- false)
-    (Memory.region_pages inst.rt.Runtime.mem inst.p.Proc.base);
+        { pg_bytes = pg.Memory.data; pg_perm = pg.Memory.perm })
+    (Memory.mark_clean inst.rt.Runtime.mem inst.p.Proc.base);
   inst.heap_end0 <- inst.p.Proc.heap_end;
   inst.baseline <- inst.p.Proc.snapshot
 
-(** Wind the instance back to its baseline: restore dirty pages from
-    the pristine copies (a straight [Bytes.blit] — data pages are never
-    executable, so no decode-cache entry can go stale; the map/unmap
-    paths go through the invalidating entry points), rewind the heap
-    break, and rebuild the std fd table.
+(** Wind the instance back to its baseline: walk the slot's changed
+    pages ({!Memory.take_changes}), put each baseline page back with
+    {!Memory.place_page} unless it is still clean and keeps its
+    permission, and unmap every other page still mapped (the request
+    mapped it); then rewind the heap break and rebuild the std fd
+    table.
 
-    Cost is O(pages of this slot), never O(pages of the runtime): the
-    slot's page table is looked up once, the baseline pages are walked
-    through [pristine], and any page the request mapped beyond the
-    baseline must sit in [heap_end0, heap_end) because both [mmap] and
-    [brk] bump-allocate at the break — so with hundreds of resident
-    instances a reset still touches only its own slot. *)
+    Cost is O(pages the request changed), never O(pages of the slot or
+    of the runtime).  A restored page keeps its private buffer, so
+    steady-state serving copies the baseline into it and allocates no
+    page buffer. *)
 let reset (inst : t) =
   let mem = inst.rt.Runtime.mem in
-  let region = Memory.region mem inst.p.Proc.base in
   let restored = ref 0 in
-  (* baseline pages: restore if dirtied; put back whole if the request
-     unmapped or re-protected them *)
-  Hashtbl.iter
-    (fun idx pr ->
-      match Hashtbl.find_opt region idx with
-      | Some pg when pg.Memory.perm = pr.pg_perm ->
-          if pg.Memory.dirty then begin
-            Bytes.blit pr.pg_bytes 0 pg.Memory.data 0 page;
-            pg.Memory.dirty <- false;
-            incr restored
-          end
-      | _ ->
-          Memory.place_page mem idx ~perm:pr.pg_perm pr.pg_bytes;
-          incr restored)
-    inst.pristine;
-  (* pages the request mapped (mmap/brk allocate at the break, so they
-     all live in the heap-growth range): drop them *)
-  let lo = Memory.page_index inst.heap_end0
-  and hi =
-    Memory.page_index
-      (Int64.add inst.p.Proc.heap_end (Int64.of_int (page - 1)))
-  in
-  for idx = lo to hi - 1 do
-    if not (Hashtbl.mem inst.pristine idx) && Hashtbl.mem region idx then
-      Memory.unmap mem ~addr:(Memory.page_addr idx) ~len:page
-  done;
+  List.iter
+    (fun idx ->
+      match Hashtbl.find_opt inst.pristine idx with
+      | Some pr -> (
+          match Memory.find_page_by_index mem idx with
+          | Some pg when pg.Memory.clean && pg.Memory.perm = pr.pg_perm -> ()
+          | _ ->
+              Memory.place_page mem idx ~perm:pr.pg_perm pr.pg_bytes;
+              incr restored)
+      | None ->
+          let addr = Memory.page_addr idx in
+          if Memory.is_mapped mem addr then Memory.unmap mem ~addr ~len:page)
+    (Memory.take_changes mem inst.p.Proc.base);
   inst.pages_restored <- inst.pages_restored + !restored;
   inst.p.Proc.heap_end <- inst.heap_end0;
   Proc.close_all inst.p;

@@ -491,16 +491,15 @@ let do_fork rt (parent : Proc.t) : int =
     let slot = alloc_slot rt in
     let base = Lfi_core.Layout.slot_base slot in
     install_rtcall_table rt.mem base;
-    (* Copy every mapped page of the parent slot but the call table,
-       freshly built above (eager copy; the paper also describes
-       copy-on-write via memfd, which we do not model). *)
+    (* Share every mapped page of the parent slot but the call table,
+       freshly built above, copy-on-write, as the paper's fork does via
+       memfd: parent and child each copy a page on its first write to
+       it. *)
     let table = Memory.page_index parent.Proc.base
     and shift = Memory.page_index base - Memory.page_index parent.Proc.base in
     List.iter
       (fun (idx, pg) ->
-        if idx <> table then
-          Memory.place_page rt.mem (idx + shift) ~perm:pg.Memory.perm
-            pg.Memory.data)
+        if idx <> table then Memory.share_page rt.mem pg (idx + shift))
       (Memory.region_pages rt.mem parent.Proc.base);
     (* Child registers: parent's current state anchored to the child
        slot; everything non-reserved heals via guards. *)

@@ -9,6 +9,10 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let check64 = Alcotest.(check int64)
 
+(* The shared zero buffer must never be written: a shared page is
+   copied before its first write. *)
+let zero_page_intact () = Bytes.for_all (fun c -> c = '\000') Memory.zero_page
+
 (* ---------------- memory ---------------- *)
 
 let test_memory_map_rw () =
@@ -50,6 +54,31 @@ let test_memory_protect_unmap () =
   | _ -> Alcotest.fail "write after protect");
   Memory.unmap m ~addr:0x4000L ~len:Memory.page_size;
   checkb "unmapped" false (Memory.is_mapped m 0x4000L)
+
+(* Sharing a page copy-on-write takes back the W its translation may
+   have cached, even when the twin already exists with the same
+   permission: the next write to either side copies. *)
+let test_memory_share_page () =
+  let m = Memory.create () in
+  let ps = Memory.page_size in
+  Memory.map m ~addr:0x10000L ~len:(2 * ps) ~perm:Memory.perm_rw;
+  Memory.write m 0x10000L 8 1L;
+  Memory.write m (Int64.of_int (0x10000 + ps)) 8 2L;
+  let src =
+    match Memory.find_page_by_index m (Memory.page_index 0x10000L) with
+    | Some p -> p
+    | None -> Alcotest.fail "page not mapped"
+  in
+  Memory.share_page m src (Memory.page_index 0x10000L + 1);
+  check64 "twin holds the source bytes" 1L
+    (Memory.read m (Int64.of_int (0x10000 + ps)) 8);
+  Memory.write m 0x10000L 8 3L;
+  check64 "source write unseen by the twin" 1L
+    (Memory.read m (Int64.of_int (0x10000 + ps)) 8);
+  Memory.write m (Int64.of_int (0x10000 + ps)) 8 4L;
+  check64 "twin write unseen by the source" 3L (Memory.read m 0x10000L 8);
+  checki "both private again" 2 (Memory.private_pages m 0x10000L);
+  checkb "zero page intact" true (zero_page_intact ())
 
 let test_tlb () =
   let t = Tlb.create ~entries:4 in
@@ -509,6 +538,7 @@ let () =
           Alcotest.test_case "cross page" `Quick test_memory_cross_page;
           Alcotest.test_case "protect unmap" `Quick test_memory_protect_unmap;
           Alcotest.test_case "tlb" `Quick test_tlb;
+          Alcotest.test_case "share page" `Quick test_memory_share_page;
           Alcotest.test_case "protect len 0" `Quick test_protect_len_zero;
         ] );
       ("semantics", semantics_cases);

@@ -11,6 +11,11 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
+(* The shared zero buffer must never be written: a shared page is
+   copied before its first write. *)
+let zero_page_intact () =
+  Bytes.for_all (fun c -> c = '\000') Lfi_emulator.Memory.zero_page
+
 let xz_exports =
   [ "init"; "checksum"; "compress"; "expand"; "dict_sum"; "poke_global";
     "peek_global" ]
@@ -180,8 +185,8 @@ let test_reset_dirty_accounting () =
   Instance.reset inst;
   let after_call = inst.Instance.pages_restored in
   checkb "dirty pages restored" true (after_call > 0);
-  (* an idle reset finds nothing dirty: the dirty-flag tracking is what
-     keeps reset proportional to what the request touched *)
+  (* an idle reset finds nothing changed: the memory system's change
+     set is what keeps reset proportional to what the request touched *)
   Instance.reset inst;
   checki "idle reset restores nothing" after_call inst.Instance.pages_restored
 
@@ -203,6 +208,111 @@ let test_reset_undoes_mmap_growth () =
     (not (Lfi_emulator.Memory.is_mapped mem heap0));
   checkb "heap break rewound" true
     (Int64.equal inst.Instance.p.Proc.heap_end heap0)
+
+module Memory = Lfi_emulator.Memory
+
+(* Run [f] under superblock dispatch, then under per-instruction
+   stepping. *)
+let both_modes (f : unit -> unit) =
+  List.iter
+    (fun v ->
+      let saved = !Lfi_emulator.Machine.superblocks_default in
+      Lfi_emulator.Machine.superblocks_default := v;
+      Fun.protect
+        ~finally:(fun () -> Lfi_emulator.Machine.superblocks_default := saved)
+        f)
+    [ true; false ]
+
+(* A request that unmaps a baseline page, re-protects another, grows
+   the heap and writes a global is wound back to the exact baseline:
+   the same pages with the same permissions and bytes.  The unmapped
+   page is the one init filled (the dictionary), so its bytes are the
+   baseline's own, not zeros; the re-protected one is the stack top,
+   which the call also wrote. *)
+let test_reset_winds_back_mappings () =
+  both_modes @@ fun () ->
+  let inst = make_inst () in
+  let mem = inst.Instance.rt.Runtime.mem and base = inst.Instance.p.Proc.base in
+  let image () =
+    Memory.region_pages mem base
+    |> List.map (fun (idx, pg) ->
+           (idx, pg.Memory.perm, Bytes.copy pg.Memory.data))
+  in
+  let before = image () in
+  let dict_sum = ret_of (Instance.call inst "dict_sum" []) in
+  Instance.reset inst;
+  let restored0 = inst.Instance.pages_restored in
+  ignore (ret_of (Instance.call inst "poke_global" [ Api.I 42L ]));
+  let dict =
+    match Library.symbol (Lazy.force xz_lib) "dict" with
+    | Some a -> Int64.add base (Int64.of_int (a land lnot (Memory.page_size - 1)))
+    | None -> Alcotest.fail "dict symbol missing"
+  in
+  let stack_top =
+    Int64.add base
+      (Int64.of_int (Lfi_core.Layout.stack_top - Memory.page_size))
+  in
+  let heap0 = inst.Instance.p.Proc.heap_end in
+  Memory.unmap mem ~addr:dict ~len:Memory.page_size;
+  Memory.protect mem ~addr:stack_top ~len:Memory.page_size ~perm:Memory.perm_r;
+  Memory.map mem ~addr:heap0 ~len:Memory.page_size ~perm:Memory.perm_rw;
+  Memory.write mem heap0 8 1L;
+  inst.Instance.p.Proc.heap_end <-
+    Int64.add heap0 (Int64.of_int Memory.page_size);
+  Instance.reset inst;
+  checkb "pages, permissions and bytes as at the baseline" true
+    (image () = before);
+  checkb "heap break rewound" true
+    (Int64.equal inst.Instance.p.Proc.heap_end heap0);
+  checkb "unmapped and re-protected pages counted" true
+    (inst.Instance.pages_restored - restored0 >= 2);
+  (* the restored pages are clean again: the next request's writes are
+     seen and undone too *)
+  checki "global pristine" 0
+    (Int64.to_int (ret_of (Instance.call inst "peek_global" [])));
+  ignore (ret_of (Instance.call inst "poke_global" [ Api.I 7L ]));
+  Instance.reset inst;
+  checki "still pristine" 0
+    (Int64.to_int (ret_of (Instance.call inst "peek_global" [])));
+  checkb "dictionary back" true
+    (Int64.equal dict_sum (ret_of (Instance.call inst "dict_sum" [])));
+  Instance.reset inst;
+  checkb "same image again" true (image () = before);
+  checkb "zero page intact" true (zero_page_intact ())
+
+(* Density, pinned exactly: xzbox instances share every page after
+   spawn, and 2000 requests of the seed-1 serve stream at pool 4 leave
+   each instance with exactly two private pages while restoring the
+   same 3787 pages the page-copying baseline did. *)
+let test_density_private_pages () =
+  let xz = Libs.xzbox in
+  let lib =
+    Library.create ~name:xz.Api.l_short
+      ~exports:
+        (List.map (fun e -> e.Api.e_name) xz.Api.l_exports
+        @ Option.to_list xz.Api.l_init)
+      xz.Api.l_program
+  in
+  let pool = Pool.create ~arena:xz.Api.l_arena ?init:xz.Api.l_init ~size:4 lib in
+  let private_pages () =
+    Array.to_list pool.Pool.instances
+    |> List.map (fun inst ->
+           Memory.private_pages pool.Pool.rt.Runtime.mem inst.Instance.p.Proc.base)
+  in
+  checkb "no private page after spawn" true (private_pages () = [ 0; 0; 0; 0 ]);
+  let rng = Serve.make_rng 1 in
+  let weighted = List.filter (fun e -> e.Api.e_weight > 0) xz.Api.l_exports in
+  for _ = 1 to 2000 do
+    let e = Serve.pick_export rng weighted in
+    ignore (ret_of (snd (Pool.dispatch pool e.Api.e_name (e.Api.e_gen ~rng))))
+  done;
+  checkb "two private pages each after 2000 requests" true
+    (private_pages () = [ 2; 2; 2; 2 ]);
+  checki "pages restored" 3787
+    (Array.fold_left
+       (fun n inst -> n + inst.Instance.pages_restored)
+       0 pool.Pool.instances);
+  checkb "zero page intact" true (zero_page_intact ())
 
 (* ---------------- pool ---------------- *)
 
@@ -660,6 +770,9 @@ let () =
           mk "init survives" test_init_survives_reset;
           mk "dirty accounting" test_reset_dirty_accounting;
           mk "mmap growth undone" test_reset_undoes_mmap_growth;
+          mk "unmap, protect and growth wound back"
+            test_reset_winds_back_mappings;
+          mk "density: private pages" test_density_private_pages;
         ] );
       ( "pool",
         [

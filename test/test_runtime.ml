@@ -21,6 +21,39 @@ let exit_code = function
   | Lfi_runtime.Runtime.Exited c, _, _, _ -> c
   | Lfi_runtime.Runtime.Killed why, _, _, _ -> Alcotest.failf "killed: %s" why
 
+let check64 = Alcotest.(check int64)
+
+(* The shared zero buffer must never be written: a shared page is
+   copied before its first write. *)
+let zero_page_intact () =
+  Bytes.for_all (fun c -> c = '\000') Lfi_emulator.Memory.zero_page
+
+(* Run [f] under superblock dispatch, then under per-instruction
+   stepping. *)
+let both_modes (f : unit -> unit) =
+  List.iter
+    (fun v ->
+      let module Machine = Lfi_emulator.Machine in
+      let saved = !Machine.superblocks_default in
+      Machine.superblocks_default := v;
+      Fun.protect ~finally:(fun () -> Machine.superblocks_default := saved) f)
+    [ true; false ]
+
+(* Sandbox offset of an image's first non-executable segment. *)
+let data_offset (elf : Lfi_elf.Elf.t) =
+  match
+    List.find_opt
+      (fun (s : Lfi_elf.Elf.segment) -> s.flags land Lfi_elf.Elf.pf_x = 0)
+      elf.Lfi_elf.Elf.segments
+  with
+  | Some s -> s.vaddr
+  | None -> Alcotest.fail "image has no data segment"
+
+let contains hay needle =
+  let hl = String.length hay and nl = String.length needle in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* ---------------- basic runtime calls ---------------- *)
 
 let test_exit () =
@@ -235,11 +268,6 @@ let test_guard_page_fault () =
   in
   match Lfi_runtime.Runtime.run_one rt p with
   | Lfi_runtime.Runtime.Killed why, _, _, _ ->
-      let contains hay needle =
-        let nl = String.length needle and hl = String.length hay in
-        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-        go 0
-      in
       checkb "fault" true (contains why "fault")
   | _ -> Alcotest.fail "expected kill"
 
@@ -261,6 +289,7 @@ let test_fork_pids () =
   | _ -> Alcotest.fail "child did not exit 0"
 
 let test_fork_isolation () =
+  both_modes @@ fun () ->
   (* child increments a global then exits with it; parent waits and
      exits with its own (unchanged) copy + child status *)
   let code =
@@ -277,9 +306,16 @@ let test_fork_isolation () =
      the two regions page by page *)
   let module Memory = Lfi_emulator.Memory in
   let rt = Lfi_runtime.Runtime.create () in
-  let parent =
-    Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi (build code)
+  let mem = rt.Lfi_runtime.Runtime.mem in
+  let elf = build code in
+  let parent = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
+  let at (p : Lfi_runtime.Proc.t) off =
+    Int64.add p.Lfi_runtime.Proc.base (Int64.of_int off)
   in
+  let cell = data_offset elf and stack = Lfi_core.Layout.stack_top - 8 in
+  (* the parent's translation now grants W on its data page: fork must
+     take it back *)
+  Memory.write mem (at parent cell) 8 5L;
   let child =
     match
       Lfi_runtime.Runtime.proc rt (Lfi_runtime.Runtime.do_fork rt parent)
@@ -288,7 +324,7 @@ let test_fork_isolation () =
     | None -> Alcotest.fail "fork made no child"
   in
   let pages (p : Lfi_runtime.Proc.t) =
-    Memory.region_pages rt.Lfi_runtime.Runtime.mem p.Lfi_runtime.Proc.base
+    Memory.region_pages mem p.Lfi_runtime.Proc.base
     |> List.map (fun (idx, pg) ->
            ( Int64.sub (Memory.page_addr idx) p.Lfi_runtime.Proc.base,
              pg.Memory.perm,
@@ -301,15 +337,28 @@ let test_fork_isolation () =
       checkb "same offset" true (Int64.equal po co);
       checkb "same permission" true (pperm = cperm);
       if not (Int64.equal co 0L) then
-        checkb "same bytes" true (Bytes.equal pdata cdata))
+        checkb "same buffer, shared copy-on-write" true (pdata == cdata))
     pp cp;
   (* the call table is rebuilt for the child: unused entries trap into
      the child's own guard region, not the parent's *)
   let cbase = child.Lfi_runtime.Proc.base in
   checkb "child call table rebuilt" true
-    (Int64.equal
-       (Memory.read rt.Lfi_runtime.Runtime.mem cbase 8)
-       (Int64.add cbase (Int64.of_int Lfi_core.Layout.rtcall_table_size)))
+    (Int64.equal (Memory.read mem cbase 8)
+       (Int64.add cbase (Int64.of_int Lfi_core.Layout.rtcall_table_size)));
+  (* writes after the fork stay on their side, both ways, on a data
+     page and on a stack page *)
+  let read p off = Memory.read mem (at p off) 8 in
+  Memory.write mem (at parent cell) 8 6L;
+  Memory.write mem (at child stack) 8 7L;
+  check64 "parent's data write unseen by the child" 5L (read child cell);
+  check64 "child's stack write unseen by the parent" 0L (read parent stack);
+  Memory.write mem (at child cell) 8 8L;
+  Memory.write mem (at parent stack) 8 9L;
+  check64 "parent data" 6L (read parent cell);
+  check64 "child data" 8L (read child cell);
+  check64 "parent stack" 9L (read parent stack);
+  check64 "child stack" 7L (read child stack);
+  checkb "zero page intact" true (zero_page_intact ())
 
 let test_wait_echild () =
   let code = "_start:\n\tmovz x0, #0\n\tsvc #8\n\tsvc #1\n\tb _start\n" in
@@ -382,6 +431,180 @@ let test_slot_reuse () =
   ignore p;
   (* two forks, but the second reuses the first child's slot *)
   checki "slots used" 3 rt.Lfi_runtime.Runtime.next_slot
+
+(* ---------------- copy-on-write pages ---------------- *)
+
+module Memory = Lfi_emulator.Memory
+
+(* Two sandboxes each read the word just below their stack top, then
+   store 77 there; a third only reads it.  Fresh stack pages share one
+   zero buffer, so a store that reached it would make a later reader
+   exit 77 instead of 0. *)
+let test_cow_stack_isolation () =
+  both_modes @@ fun () ->
+  let prog store =
+    build
+      (Printf.sprintf
+         "_start:\n\tsub sp, sp, #16\n\tldr x2, [sp]\n%s\tmov x0, x2\n\tsvc \
+          #1\n\tb _start\n"
+         (if store then "\tmovz x1, #77\n\tstr x1, [sp]\n" else ""))
+  in
+  let rt = Lfi_runtime.Runtime.create () in
+  let load elf = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
+  let writers = [ load (prog true); load (prog true) ] in
+  let reader = load (prog false) in
+  let log = Lfi_runtime.Runtime.run rt in
+  List.iter
+    (fun (p : Lfi_runtime.Proc.t) ->
+      checkb "read zero" true
+        (List.assoc_opt p.Lfi_runtime.Proc.pid log
+        = Some (Lfi_runtime.Runtime.Exited 0)))
+    (reader :: writers);
+  let slot_word (p : Lfi_runtime.Proc.t) =
+    Memory.read rt.Lfi_runtime.Runtime.mem
+      (Int64.add p.Lfi_runtime.Proc.base
+         (Int64.of_int (Lfi_core.Layout.stack_top - 16)))
+      8
+  in
+  List.iter (fun p -> check64 "writer's own stack" 77L (slot_word p)) writers;
+  check64 "reader's untouched stack" 0L (slot_word reader);
+  checkb "zero page intact" true (zero_page_intact ())
+
+(* A read-only page that shares the zero buffer keeps faulting on
+   write, from the sandbox and from the host, cached or not. *)
+let test_cow_read_only_faults () =
+  both_modes @@ fun () ->
+  let off = 0x4000000 in
+  let rt = Lfi_runtime.Runtime.create () in
+  let p =
+    Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
+      (build
+         (Printf.sprintf
+            "_start:\n\tmovz x1, #0x%x, lsl #16\n\tmovz x2, #1\n\tstr x2, \
+             [x1]\n\tmovz x0, #0\n\tsvc #1\n\tb _start\n"
+            (off lsr 16)))
+  in
+  let mem = rt.Lfi_runtime.Runtime.mem in
+  let addr = Int64.add p.Lfi_runtime.Proc.base (Int64.of_int off) in
+  Memory.map mem ~addr ~len:Memory.page_size ~perm:Memory.perm_r;
+  check64 "reads zero" 0L (Memory.read mem addr 8);
+  let host_write () =
+    match Memory.write mem addr 8 1L with
+    | exception Memory.Fault f ->
+        checks "host write refused" "no write permission" f.Memory.reason;
+        check64 "at the address written" addr f.Memory.addr
+    | () -> Alcotest.fail "write to a read-only shared page succeeded"
+  in
+  host_write ();
+  (match Lfi_runtime.Runtime.run_one rt p with
+  | Lfi_runtime.Runtime.Killed why, _, _, _ ->
+      checkb "sandbox store refused" true (contains why "no write permission")
+  | Lfi_runtime.Runtime.Exited c, _, _, _ ->
+      Alcotest.failf "store to a read-only page exited %d" c);
+  host_write ();
+  check64 "still zero" 0L (Memory.read mem addr 8);
+  checkb "zero page intact" true (zero_page_intact ())
+
+(* A program patches the [add] it just ran into [add x0, x0, #100] and
+   runs it again: exit 102 if the store dropped the decoded block, 51
+   if a stale decode kept running.  Its code page is writable and
+   executable and shares its buffer (a baseline keeps it by
+   reference), so the store first takes a private copy — and must still
+   invalidate. *)
+let test_cow_wx_store_invalidates () =
+  both_modes @@ fun () ->
+  let word =
+    Bytes.get_int32_le
+      (Assemble.assemble_string "_start:\n\tadd x0, x0, #100\n").Assemble.text 0
+    |> Int32.to_int |> fun w -> w land 0xFFFFFFFF
+  in
+  let elf =
+    build
+      (Printf.sprintf
+         "_start:\n\tmovz x0, #1\n\tadr x1, patch\n\tmovz w2, #0x%x\n\tmovk \
+          w2, #0x%x, lsl #16\npatch:\n\tadd x0, x0, #1\n\tcmp x0, #50\n\tb.gt \
+          done\n\tstr w2, [x1]\n\tb patch\ndone:\n\tsvc #1\n\tb _start\n"
+         (word land 0xFFFF) (word lsr 16))
+  in
+  let rt = Lfi_runtime.Runtime.create () in
+  let p = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
+  let mem = rt.Lfi_runtime.Runtime.mem and base = p.Lfi_runtime.Proc.base in
+  let text =
+    match Lfi_elf.Elf.code_segment elf with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  let code = Int64.add base (Int64.of_int text.vaddr) in
+  Memory.protect mem ~addr:code ~len:(Bytes.length text.data)
+    ~perm:{ Memory.r = true; w = true; x = true };
+  let idx = Memory.page_index code in
+  let shared =
+    match List.assoc_opt idx (Memory.mark_clean mem base) with
+    | Some pg -> pg.Memory.data
+    | None -> Alcotest.fail "code page not mapped"
+  in
+  let original = Bytes.copy shared in
+  checki "patched code ran" 102 (exit_code (Lfi_runtime.Runtime.run_one rt p));
+  checkb "the shared buffer is untouched" true (Bytes.equal shared original);
+  checkb "the code page got its own copy" true
+    (match Memory.find_page_by_index mem idx with
+    | Some pg -> pg.Memory.data != shared
+    | None -> false);
+  checkb "and was recorded" true (List.mem idx (Memory.take_changes mem base))
+
+(* crashy's wild read kills it mid-run; nothing it did reached the
+   shared zero page. *)
+let test_cow_zero_page_after_crash () =
+  both_modes @@ fun () ->
+  let w =
+    match Lfi_workloads.Registry.find "crashy" with
+    | Some w -> w
+    | None -> Alcotest.fail "crashy workload not registered"
+  in
+  let src = Lfi_minic.Compile.compile w.Lfi_workloads.Common.program in
+  let elf =
+    Lfi_elf.Elf.of_image (Assemble.assemble (fst (Lfi_core.Rewriter.rewrite src)))
+  in
+  let rt = Lfi_runtime.Runtime.create () in
+  let p = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
+  (match Lfi_runtime.Runtime.run_one rt p with
+  | Lfi_runtime.Runtime.Killed _, _, _, _ -> ()
+  | Lfi_runtime.Runtime.Exited c, _, _, _ ->
+      Alcotest.failf "crashy exited %d instead of faulting" c);
+  checkb "zero page intact" true (zero_page_intact ())
+
+(* Bulk copies go a page at a time but keep the byte-wise contract: a
+   fault names the first inaccessible byte with everything before it
+   written, and a copy into an executable page invalidates its code. *)
+let test_bulk_copy_pagewise () =
+  let mem = Memory.create () in
+  let ps = Memory.page_size in
+  Memory.map mem ~addr:0x10000L ~len:(2 * ps) ~perm:Memory.perm_rw;
+  Memory.map mem ~addr:(Int64.of_int (0x10000 + (2 * ps))) ~len:ps
+    ~perm:Memory.perm_r;
+  let start = Int64.of_int (0x10000 + ps - 5) in
+  let src = Bytes.init (ps + 20) (fun i -> Char.chr (1 + (i mod 250))) in
+  (match Memory.write_bytes mem start src with
+  | exception Memory.Fault f ->
+      check64 "first bad address" (Int64.of_int (0x10000 + (2 * ps))) f.Memory.addr;
+      checks "reason" "no write permission" f.Memory.reason
+  | () -> Alcotest.fail "copy into a read-only page succeeded");
+  checkb "bytes before the fault written" true
+    (Bytes.equal (Memory.read_bytes mem start (ps + 5)) (Bytes.sub src 0 (ps + 5)));
+  (match Memory.read_bytes mem (Int64.of_int (0x10000 + (3 * ps) - 4)) 8 with
+  | exception Memory.Fault f ->
+      check64 "read names the first unmapped byte"
+        (Int64.of_int (0x10000 + (3 * ps))) f.Memory.addr
+  | _ -> Alcotest.fail "read past the mapping succeeded");
+  let changed = ref [] in
+  mem.Memory.on_code_change <- (fun a n -> changed := (a, n) :: !changed);
+  Memory.protect mem ~addr:0x10000L ~len:ps
+    ~perm:{ Memory.r = true; w = true; x = true };
+  changed := [];
+  Memory.write_bytes mem 0x10010L (Bytes.make 8 '\001');
+  checkb "copy into an executable page invalidates it" true
+    (List.mem (0x10010L, 8) !changed);
+  checkb "zero page intact" true (zero_page_intact ())
 
 (* ---------------- fd table allocation ---------------- *)
 
@@ -479,6 +702,14 @@ let () =
           mk "file write" test_file_write_and_contents;
         ] );
       ("memory", [ mk "mmap" test_mmap; mk "brk" test_brk ]);
+      ( "copy-on-write",
+        [
+          mk "stack pages isolated" test_cow_stack_isolation;
+          mk "read-only shared page faults" test_cow_read_only_faults;
+          mk "w+x store invalidates" test_cow_wx_store_invalidates;
+          mk "zero page after crash" test_cow_zero_page_after_crash;
+          mk "bulk copies page-wise" test_bulk_copy_pagewise;
+        ] );
       ("fds", [ mk "alloc reuses closed" test_fd_alloc_reuse ]);
       ("faults", [ mk "unmapped heap" test_guard_page_fault ]);
       ( "processes",
